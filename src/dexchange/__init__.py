@@ -16,6 +16,7 @@ from .model import (
     InfeasibleInstance,
     InstanceError,
     ProblemInstance,
+    TableTooLarge,
     dilworth_value,
     generate_instance,
     in_cut_set_region,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -19,11 +18,13 @@ import numpy as np
 from . import __version__
 from .gf import FieldSpec
 from .model import (
+    MAX_TABLE_USERS,
     CutSetOracle,
     InfeasibleInstance,
     InstanceError,
     PRESETS,
     ProblemInstance,
+    TableTooLarge,
     generate_instance,
     load_instance,
     preset_instance,
@@ -48,7 +49,6 @@ from .ratealloc import (
     TableCost,
     eval_h,
     min_cost,
-    min_sum_rate,
     sfm_minimizer,
     subgradient_minimizer,
 )
@@ -179,7 +179,7 @@ def cmd_solve(args) -> int:
                 "beta": got.beta,
                 "rates": list(got.allocation.rates),
                 "cost": got.value,
-                "min_sum_rate": min_sum_rate(oracle, caps, minimizer),
+                "min_sum_rate": got.min_sum_rate,
             }
     except Infeasible as exc:
         report = _report(
@@ -197,6 +197,8 @@ def cmd_solve(args) -> int:
         )
         _emit(report, f"infeasible: {exc}")
         return EXIT_INFEASIBLE
+    except TableTooLarge as exc:
+        raise SystemExit(f"cannot solve exactly: {exc}; --backend randomized needs no rank table")
 
     report = _report("solve", payload, digest=inst.digest(), seed=args.seed, t0=t0)
     _emit(report, f"rates {payload['rates']} cost {payload['cost']} beta {payload['beta']}")
@@ -286,6 +288,13 @@ def cmd_code(args) -> int:
     inst = _load(args.instance)
     if len(args.rates) != inst.m:
         raise SystemExit(f"--rates must list {inst.m} values")
+    checked = inst.m <= MAX_TABLE_USERS
+    if not checked:
+        print(
+            f"warning: {inst.m} users exceed the rank-table cap of {MAX_TABLE_USERS}; "
+            "the rates are not checked against the cut-set region",
+            file=sys.stderr,
+        )
     try:
         schedule = construct_code(
             inst, args.rates, RngSpec(args.seed, args.stream), max_retries=args.max_retries
@@ -308,7 +317,11 @@ def cmd_code(args) -> int:
         )
         return EXIT_CONSTRUCTION
     save_schedule(schedule, args.out)
-    payload = {"schedule": args.out, "rates": list(schedule.counts(inst.m))}
+    payload = {
+        "schedule": args.out,
+        "rates": list(schedule.counts(inst.m)),
+        "cut_set_checked": checked,
+    }
     _emit(
         _report("code", payload, digest=inst.digest(), seed=args.seed, t0=t0),
         f"wrote {args.out} ({len(schedule.entries)} transmissions)",
@@ -388,8 +401,7 @@ def cmd_validate(args) -> int:
     if args.suite in ("paper-examples", "all"):
         results += run_reference_examples()
     if args.suite in ("rlnc", "all"):
-        threads = int(os.environ.get("DEXCHANGE_THREADS", "1") or 1)
-        results.append(run_rlnc_stats(args.q, args.trials if args.suite == "rlnc" else 400, args.seed, threads))
+        results.append(run_rlnc_stats(args.q, args.trials if args.suite == "rlnc" else 400, args.seed))
     failures = [r for r in results if not r.ok]
     payload = {
         "checks": len(results),

@@ -3,9 +3,10 @@
 Every rank oracle, decodability check and decoding step in this package sits
 on top of this module.  Matrices are small and dense at the scale we target,
 so the implementation favors clarity and reproducibility over asymptotics:
-plain Gaussian elimination with a deterministic pivot rule (first nonzero
-entry, lowest row index).  Matrices are immutable after construction and all
-operations are pure, so they can be shared freely across threads.
+Gauss-Jordan elimination to reduced row echelon form with a deterministic
+pivot rule (rows top to bottom, each on its first nonzero entry).  Matrices
+are immutable after construction and all operations are pure, so they can
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -163,40 +164,37 @@ class FMatrix:
         return f"FMatrix(GF({self.field.p}), {self.rows}x{self.cols})"
 
 
-def _forward_eliminate(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Row echelon form of ``a`` modulo p.  Returns (matrix, pivot columns).
+def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of ``a`` modulo p, up to row order.
 
-    Pivot selection is deterministic: scan columns left to right, take the
-    first nonzero entry at or below the current row.
+    Returns (matrix, pivot columns): the nonzero rows, where row k has its
+    leading 1 in column ``pivots[k]`` and every other row is zero there.
+    Rows are taken top to bottom, each reduced by the pivots found above it
+    and, unless it has become zero, pivoted on its first nonzero entry.
     """
-    a = a.copy()
-    rows, cols = a.shape
+    a = a % p
     pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+    keep: list[int] = []
+    for r in range(a.shape[0]):
+        row = a[r]
+        c = int((row != 0).argmax())
+        if not row[c]:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            a[[r, pr]] = a[[pr, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = a[r + 1 :, c]
-        if below.size:
-            a[r + 1 :] = (a[r + 1 :] - np.outer(below, a[r])) % p
+        row = (row * pow(int(row[c]), p - 2, p)) % p
+        col = a[:, c:c + 1].copy()
+        col[r] = 0
+        a = (a - col * row) % p
+        a[r] = row
         pivots.append(c)
-        r += 1
-    return a, pivots
+        keep.append(r)
+    return a[keep], pivots
 
 
 def rank(m: FMatrix) -> int:
     """Rank of ``m`` over its field.  Empty matrices have rank 0."""
     if m.rows == 0 or m.cols == 0:
         return 0
-    _, pivots = _forward_eliminate(m.array, m.field.p)
+    _, pivots = _row_reduce(m.array, m.field.p)
     return len(pivots)
 
 
@@ -212,67 +210,81 @@ def solve_full_rank(m: FMatrix, rhs) -> np.ndarray:
         raise ShapeError(f"right-hand side of length {m.rows} required, got shape {b.shape}")
     p = m.field.p
     aug = np.concatenate([m.array, (b % p).reshape(-1, 1)], axis=1)
-    red, pivots = _forward_eliminate(aug, p)
-    if pivots and pivots[-1] == m.cols:  # pivot in the rhs column
+    red, pivots = _row_reduce(aug, p)
+    if m.cols in pivots:  # a pivot in the rhs column
         raise SingularSystem("inconsistent right-hand side")
     if len(pivots) < m.cols:
         raise SingularSystem(f"matrix rank {len(pivots)} is below column count {m.cols}")
-    # Back-substitute; pivot rows are already normalized to leading 1.
     w = np.zeros(m.cols, dtype=np.int64)
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        w[c] = (red[r, -1] - red[r, c + 1 : m.cols] @ w[c + 1 :]) % p
+    w[pivots] = red[:, -1]
     return w
 
 
 class RowBasis:
-    """Incremental basis of a row space over GF(p).
+    """Incremental basis of a row space over GF(p), kept in reduced row
+    echelon form.
 
-    Supports appending one row at a time while tracking the rank, which is
-    how the randomized allocator maintains each user's observation span as
-    coded rows accumulate.
+    ``extend`` reduces a batch of rows against the basis with one matmul,
+    eliminates what is left, and folds the new pivots back into the old
+    rows.  The randomized allocator keeps one per user as coded rows
+    accumulate, and the rank table extends a parent subset's basis by the
+    next user's rows.  Extending replaces the arrays instead of writing
+    into them, so ``copy`` is cheap and copies never share later updates.
     """
 
     def __init__(self, field: FieldSpec, cols: int, rows=()):
         self.field = field
         self.cols = cols
-        self._pivot_rows: dict[int, np.ndarray] = {}
-        for row in rows:
-            self.add(row)
+        self._rows = np.zeros((0, cols), dtype=np.int64)
+        self._pivots = np.zeros(0, dtype=np.intp)
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.size:
+            self.extend(rows)
 
     @property
     def rank(self) -> int:
-        return len(self._pivot_rows)
+        return len(self._pivots)
+
+    def _reduce(self, rows: np.ndarray) -> np.ndarray:
+        """``rows`` minus their projection on the basis: zero in every pivot
+        column, and all zero exactly for rows inside the span."""
+        p = self.field.p
+        rows = rows % p
+        if not self._pivots.size:
+            return rows
+        return (rows - rows[:, self._pivots] @ self._rows) % p
+
+    def extend(self, rows) -> int:
+        """Add the rows of a 2-D array; returns how much the rank grew."""
+        x = np.asarray(rows, dtype=np.int64)
+        if x.ndim != 2 or x.shape[1] != self.cols:
+            raise ShapeError(f"rows of length {self.cols} required, got shape {x.shape}")
+        if self.rank == self.cols or not x.shape[0]:
+            return 0
+        p = self.field.p
+        new, pivots = _row_reduce(self._reduce(x), p)
+        if pivots:
+            old = self._rows
+            if old.shape[0]:
+                old = (old - old[:, pivots] @ new) % p
+            self._rows = np.concatenate([old, new])
+            self._pivots = np.concatenate([self._pivots, np.asarray(pivots, dtype=np.intp)])
+        return len(pivots)
 
     def add(self, row) -> bool:
-        """Reduce ``row`` against the basis; returns True if the rank grew."""
-        p = self.field.p
-        v = np.asarray(row, dtype=np.int64) % p
+        """Add one row; returns True if the rank grew."""
+        v = np.asarray(row, dtype=np.int64)
         if v.shape != (self.cols,):
             raise ShapeError(f"row of length {self.cols} required")
-        v = v.copy()
-        for c in sorted(self._pivot_rows):
-            if v[c]:
-                v = (v - v[c] * self._pivot_rows[c]) % p
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        v = (v * pow(int(v[c]), p - 2, p)) % p
-        v.setflags(write=False)
-        self._pivot_rows[c] = v
-        return True
+        return self.extend(v.reshape(1, -1)) > 0
 
     def contains(self, row) -> bool:
         """True if ``row`` already lies in the spanned row space."""
-        p = self.field.p
-        v = np.asarray(row, dtype=np.int64).copy() % p
-        for c in sorted(self._pivot_rows):
-            if v[c]:
-                v = (v - v[c] * self._pivot_rows[c]) % p
-        return not np.any(v)
+        v = np.asarray(row, dtype=np.int64).reshape(1, -1)
+        return not np.any(self._reduce(v))
 
     def copy(self) -> "RowBasis":
         dup = RowBasis(self.field, self.cols)
-        dup._pivot_rows = dict(self._pivot_rows)
+        dup._rows = self._rows
+        dup._pivots = self._pivots
         return dup

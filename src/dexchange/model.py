@@ -3,11 +3,12 @@
 An instance is a collection of m observation matrices over a common prime
 field: user i holds the values ``A_i @ w`` for an unknown packet vector w of
 length N.  The solvers only ever touch an instance through joint ranks of
-stacked observation rows, which :class:`CutSetOracle` memoizes per
-user-subset bitmask.
+stacked observation rows, which :class:`CutSetOracle` holds as a dense table
+indexed by user-subset bitmask.
 
-Subsets of users are plain int bitmasks (bit i = user i).  The deterministic
-algorithms enumerate subsets, so the user count is capped at MAX_USERS.
+Subsets of users are plain int bitmasks (bit i = user i).  Instances are
+capped at MAX_USERS users; the deterministic algorithms read all 2^m joint
+ranks, so the rank table is capped at MAX_TABLE_USERS users.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec, FMatrix, rank
+from .gf import FieldSpec, FMatrix, RowBasis, rank
 
 MAX_USERS = 30
+#: Largest user count whose 2^m joint-rank table is built (8 MB of int64).
+MAX_TABLE_USERS = 20
 
 #: Packet subsets for the bundled three-user, six-packet demo instance.
 PRESETS = {
@@ -36,6 +38,10 @@ class InstanceError(ValueError):
 
 class InfeasibleInstance(ValueError):
     """Requested generation parameters cannot produce a valid instance."""
+
+
+class TableTooLarge(ValueError):
+    """The instance has more users than the rank table allows."""
 
 
 def mask_of(users) -> int:
@@ -238,43 +244,135 @@ def generate_instance(
     raise InfeasibleInstance("no collectively full-rank draw found after 1000 attempts")
 
 
+#: Set bits of every byte value, for popcounts of packet bitmasks.
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _raw_supports(instance: ProblemInstance):
+    """Per-user sets of packet columns, or None unless every observation row
+    has at most one nonzero entry (scaled unit rows, as in raw instances)."""
+    supports = []
+    for obs in instance.observations:
+        a = obs.array
+        if np.any(np.count_nonzero(a, axis=1) > 1):
+            return None
+        supports.append(np.flatnonzero(a.any(axis=0)))
+    return supports
+
+
+def _raw_ranks(supports, m: int, n: int) -> np.ndarray:
+    """rank(S) = popcount of the union of the users' packet bitmasks.
+
+    The union over all 2^m subsets is built by doubling, which is the
+    recurrence ``union[s] = union[s ^ top] | mask[user(top)]`` run for one
+    top bit at a time; packets are taken 64 at a time so memory stays O(2^m).
+    """
+    ranks = np.zeros(1 << m, dtype=np.int64)
+    for lo in range(0, n, 64):
+        union = np.zeros(1, dtype=np.uint64)
+        for cols in supports:
+            word = sum(1 << int(c - lo) for c in cols if lo <= c < lo + 64)
+            union = np.concatenate([union, union | np.uint64(word)])
+        ranks += _POPCOUNT8[union.view(np.uint8)].reshape(-1, 8).sum(axis=1, dtype=np.int64)
+    return ranks
+
+
+def _coded_ranks(instance: ProblemInstance) -> np.ndarray:
+    """Joint ranks by a depth-first walk of the subset lattice.
+
+    A node's parent is the node minus its highest user, and a child extends
+    the parent's reduced basis with the new user's rows.  Children are
+    visited from the highest user down, which visits every subset after all
+    of its immediate subsets.  A node with an immediate subset of rank N has
+    rank N without elimination, and a node that reaches rank N fills its
+    whole subtree (itself plus any users above its highest one) with N.
+    """
+    m, n = instance.m, instance.n_packets
+    obs = [o.array for o in instance.observations]
+    ranks = [0] * (1 << m)
+    stack = [(1 << j, j, RowBasis(instance.field, n)) for j in range(m)]
+    while stack:
+        mask, top, basis = stack.pop()
+        below = mask ^ (1 << top)
+        full = any(ranks[mask ^ (1 << i)] == n for i in members(below))
+        if not full:
+            basis = basis.copy()
+            basis.extend(obs[top])
+            ranks[mask] = basis.rank
+            full = basis.rank == n
+        if full:
+            step = 1 << (top + 1)
+            ranks[mask::step] = [n] * len(range(mask, len(ranks), step))
+        else:
+            stack.extend((mask | 1 << j, j, basis) for j in range(top + 1, m))
+    return np.array(ranks, dtype=np.int64)
+
+
+def rank_table(instance: ProblemInstance) -> np.ndarray:
+    """Read-only int64 array of rank(A_S) for every user subset S.
+
+    Raises :class:`TableTooLarge` above MAX_TABLE_USERS users.
+    """
+    m = instance.m
+    if m > MAX_TABLE_USERS:
+        raise TableTooLarge(
+            f"{m} users exceed the rank-table cap of {MAX_TABLE_USERS}; the exact "
+            "solvers read all 2^m joint ranks"
+        )
+    supports = _raw_supports(instance)
+    if supports is None:
+        table = _coded_ranks(instance)
+    else:
+        table = _raw_ranks(supports, m, instance.n_packets)
+    table.setflags(write=False)
+    return table
+
+
 class CutSetOracle:
-    """Memoized joint ranks and the budgeted cut-set set function.
+    """Joint ranks and the budgeted cut-set set function.
 
     ``cut_set_f(beta, S)`` is the per-subset transmission cap implied by a
     total budget ``beta``: 0 on the empty set, ``beta`` on the full set, and
     ``beta - N + rank(A_S)`` in between (possibly negative for small
-    budgets).  The memo holds at most 2^m entries and tolerates concurrent
-    readers; insertion is locked.
+    budgets).  All 2^m joint ranks are built in one pass on the first rank
+    query, never on construction, so callers that need no ranks work above
+    MAX_TABLE_USERS.  The table, and the list of Python ints that scalar
+    queries read, are each published by a single attribute assignment, so
+    concurrent first readers at worst build the same value twice.
     """
 
     def __init__(self, instance: ProblemInstance):
         self.instance = instance
-        self._ranks: dict[int, int] = {0: 0}
-        self._lock = threading.Lock()
+        self._full = instance.full_mask
+        self._n = instance.n_packets
+        self._table = None
+        self._values = None
+
+    @property
+    def ranks(self) -> np.ndarray:
+        """The read-only rank table, indexed by subset bitmask."""
+        table = self._table
+        if table is None:
+            table = self._table = rank_table(self.instance)
+        return table
 
     def joint_rank(self, subset: int) -> int:
         """Rank of the stacked observation rows of the users in ``subset``."""
-        if subset & ~self.instance.full_mask:
+        if not 0 <= subset <= self._full:
             raise ValueError(f"subset {subset:#x} has bits beyond user count {self.instance.m}")
-        cached = self._ranks.get(subset)
-        if cached is not None:
-            return cached
-        mats = [self.instance.observations[i] for i in members(subset)]
-        stacked = FMatrix.vstack(self.instance.field, mats, cols=self.instance.n_packets)
-        value = rank(stacked)
-        with self._lock:
-            self._ranks[subset] = value
-        return value
+        values = self._values
+        if values is None:
+            values = self._values = self.ranks.tolist()
+        return values[subset]
 
     def cut_set_f(self, beta: int, subset: int) -> int:
         if beta < 0:
             raise ValueError("budget must be non-negative")
         if subset == 0:
             return 0
-        if subset == self.instance.full_mask:
+        if subset == self._full:
             return beta
-        return beta - self.instance.n_packets + self.joint_rank(subset)
+        return beta - self._n + self.joint_rank(subset)
 
 
 def _iter_partitions(items: tuple[int, ...]):
@@ -307,20 +405,28 @@ def dilworth_value(oracle: CutSetOracle, beta: int, subset: int) -> int:
     return 0 if best is None else best
 
 
-def in_cut_set_region(oracle: CutSetOracle, rates) -> bool:
-    """Exhaustive membership test for the cut-set rate region.
+def subset_sums(values) -> np.ndarray:
+    """``out[S] = sum(values[i] for i in S)`` for every subset bitmask S,
+    built by doubling: O(2^m) memory and no 2^m x m membership matrix."""
+    values = list(values)
+    out = np.zeros(1 << len(values), dtype=np.int64)
+    for i, v in enumerate(values):
+        half = 1 << i
+        np.add(out[:half], v, out=out[half : 2 * half])
+    return out
 
-    Checks ``R(S) >= N - rank(A_{M\\S})`` for every proper subset S.  Cost is
-    2^m joint-rank queries, so intended for m up to ~20.
+
+def in_cut_set_region(oracle: CutSetOracle, rates) -> bool:
+    """Membership test for the cut-set rate region.
+
+    Checks ``R(S) >= N - rank(A_{M\\S})`` for every proper subset S as one
+    array comparison over the rank table.
     """
     inst = oracle.instance
     rates = list(rates)
     if len(rates) != inst.m:
         raise ValueError(f"rate vector of length {inst.m} required")
-    full = inst.full_mask
-    n = inst.n_packets
-    for s in range(full):  # every proper subset, including the empty one
-        total = sum(rates[i] for i in members(s))
-        if total < n - oracle.joint_rank(full ^ s):
-            return False
-    return True
+    # The complement of S is full ^ S = full - S, so reversing the table
+    # lines rank(complement) up with R(S); the last entry (S = full) is dropped.
+    lower = inst.n_packets - oracle.ranks[::-1]
+    return bool(np.all(subset_sums(rates)[:-1] >= lower[:-1]))

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FieldSpec, FMatrix, RowBasis, rank, solve_full_rank
-from .model import CutSetOracle, ProblemInstance, in_cut_set_region
+from .model import MAX_TABLE_USERS, CutSetOracle, ProblemInstance, in_cut_set_region
 from .ratealloc import Allocation, Infeasible, cheapest_increment
 
 
@@ -263,16 +263,17 @@ def construct_code(
 ) -> TransmissionSchedule:
     """Draw a decodable schedule realizing ``rates``.
 
-    Rejects rate vectors outside the cut-set region (checked exhaustively
-    while the user count allows it).  Draws all combining rows uniformly,
-    accepts the first draw that passes :func:`verify_decodable`, and raises
+    Rejects rate vectors outside the cut-set region; above MAX_TABLE_USERS
+    users there is no rank table and that check is skipped.  Draws all
+    combining rows uniformly, accepts the first draw that passes
+    :func:`verify_decodable`, and raises
     :class:`ConstructionFailed` once the retry budget is spent; that points
     at a field too small for the user count.
     """
     rates = tuple(int(r) for r in rates)
     if len(rates) != instance.m or any(r < 0 for r in rates):
         raise InfeasibleRates(f"rate vector of length {instance.m} with non-negative entries required")
-    if instance.m <= 20 and not in_cut_set_region(CutSetOracle(instance), rates):
+    if instance.m <= MAX_TABLE_USERS and not in_cut_set_region(CutSetOracle(instance), rates):
         raise InfeasibleRates(f"rates {rates} violate a cut-set bound")
     gen = rng.generator()
     p = instance.field.p

@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import CutSetOracle, dilworth_value, members
+from .model import CutSetOracle, dilworth_value, members, subset_sums
 from .sfm import GroundSet, min_pinned
 
 #: Discrete-derivative comparisons closer than this are treated as ties and
@@ -377,13 +377,34 @@ def increment_headroom(oracle, beta, rates, user, minimizer=sfm_minimizer) -> in
     return minimizer(oracle, beta, rates, GroundSet(free, user)) - rates[user]
 
 
+def headrooms(oracle, beta, rates) -> list[int]:
+    """:func:`increment_headroom` of every user at once, from the rank table.
+
+    With ``g(U) = f_beta(U) - R(U)``, user i's headroom is the minimum of g
+    over the masks U that contain i, so one array of g per call serves all
+    users.
+    """
+    if beta < 0:
+        raise ValueError("budget must be non-negative")
+    inst = oracle.instance
+    m = inst.m
+    # f(U) = beta - N + rank(U) on every nonempty U (rank of the full set is N).
+    g = beta - inst.n_packets + oracle.ranks - subset_sums(rates)
+    return [int(g.reshape(-1, 2, 1 << i)[:, 1, :].min()) for i in range(m)]
+
+
 def transmit_set(oracle, beta, rates, minimizer=sfm_minimizer) -> list[int]:
-    """Users whose rate may grow by one unit without leaving the polytope."""
-    return [
-        i
-        for i in range(oracle.instance.m)
-        if increment_headroom(oracle, beta, rates, i, minimizer) >= 1
-    ]
+    """Users whose rate may grow by one unit without leaving the polytope.
+
+    The default engine reads all headrooms off the rank table at once; any
+    other engine is asked once per user.
+    """
+    m = oracle.instance.m
+    if minimizer is sfm_minimizer:
+        room = headrooms(oracle, beta, rates)
+    else:
+        room = [increment_headroom(oracle, beta, rates, i, minimizer) for i in range(m)]
+    return [i for i in range(m) if room[i] >= 1]
 
 
 def convex_alloc(oracle, beta, cost, caps=None, minimizer=sfm_minimizer) -> Allocation:
@@ -449,9 +470,13 @@ def eval_h(oracle, beta, cost, caps=None, minimizer=sfm_minimizer):
 
 @dataclass(frozen=True)
 class MinCostResult:
+    """The optimal budget, its cost and allocation, and the smallest
+    feasible budget the search started from."""
+
     beta: int
     value: float
     allocation: Allocation
+    min_sum_rate: int
 
 
 def min_cost(oracle, cost, caps=None, minimizer=sfm_minimizer) -> MinCostResult:
@@ -490,7 +515,7 @@ def min_cost(oracle, cost, caps=None, minimizer=sfm_minimizer) -> MinCostResult:
     value, alloc = cache[lo] if lo in cache else eval_h(oracle, lo, cost, caps, minimizer)
     if alloc is None:
         raise Infeasible(f"budget {lo} unexpectedly infeasible", beta=lo)
-    return MinCostResult(lo, value, alloc)
+    return MinCostResult(lo, value, alloc, beta_min)
 
 
 def restriction_value(oracle, beta, caps, subset) -> int:

@@ -1,18 +1,21 @@
-"""Pinned-element submodular minimization by exhaustive enumeration.
+"""Pinned-element submodular minimization over the dense rank table.
 
 The coordinate step shared by all deterministic solvers asks: over subsets S
 of a free ground set, minimize ``f_beta(S + pinned) - R(S)``.  That function
-is fully submodular on the free set, but at desk scale an exhaustive sweep
-over the 2^|free| subsets is exact, tuning-free and fast enough (the
-documented practical cap is around 22 free elements), so enumeration is the
-default engine rather than a combinatorial SFM algorithm.
+is fully submodular on the free set, but with every joint rank already in
+one array, evaluating all 2^|free| subsets as a single array expression is
+exact, tuning-free and fast up to the rank table's user cap
+(``model.MAX_TABLE_USERS``), so this is the default engine rather than a
+combinatorial SFM algorithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import CutSetOracle, members
+import numpy as np
+
+from .model import CutSetOracle, members, subset_sums
 
 
 @dataclass(frozen=True)
@@ -35,28 +38,20 @@ def min_pinned(
     """Minimize ``cut_set_f(beta, S + pinned) - sum(rates over S)`` over all
     S inside the free set.
 
-    Returns ``(value, argmin_mask)``.  Subsets are scanned in increasing
-    bitmask order and only strict improvements are kept, so ties resolve to
-    the lexicographically smallest mask and results are reproducible.
+    Returns ``(value, argmin_mask)``.  Ties resolve to the first minimum in
+    increasing bitmask order, so results are reproducible.
     """
+    if beta < 0:
+        raise ValueError("budget must be non-negative")
     pin_bit = 1 << ground.pinned
-    best_val = oracle.cut_set_f(beta, pin_bit)
-    best_mask = 0
+    if (ground.free | pin_bit) > oracle.instance.full_mask:
+        raise ValueError(f"ground set has users beyond user count {oracle.instance.m}")
     positions = members(ground.free)
-    t = len(positions)
-    if t == 0:
-        return best_val, 0
-    size = 1 << t
-    masks = [0] * size
-    sums = [0] * size
-    for k in range(1, size):
-        low = k & -k
-        prev = k ^ low
-        b = positions[low.bit_length() - 1]
-        masks[k] = masks[prev] | (1 << b)
-        sums[k] = sums[prev] + rates[b]
-        val = oracle.cut_set_f(beta, masks[k] | pin_bit) - sums[k]
-        if val < best_val:
-            best_val = val
-            best_mask = masks[k]
-    return best_val, best_mask
+    # Submasks of the free set in increasing order, built by doubling over
+    # its members from the lowest up; their rate sums follow the same order.
+    subs = subset_sums(1 << b for b in positions)
+    vals = oracle.ranks[subs | pin_bit] - subset_sums(rates[b] for b in positions)
+    k = int(vals.argmin())
+    # f(T) = beta - N + rank(T) for every nonempty T, the full set included,
+    # because the instance's collective rank is N.
+    return beta - oracle.instance.n_packets + int(vals[k]), int(subs[k])

@@ -3,6 +3,8 @@ import json
 import pytest
 
 from dexchange.cli import main
+from dexchange.gf import FieldSpec
+from dexchange.model import MAX_TABLE_USERS, instance_from_packet_sets, save_instance
 
 
 def run(capsys, *argv):
@@ -19,6 +21,15 @@ def instance_file(tmp_path, capsys):
     path = tmp_path / "demo.json"
     code, _, _ = run(capsys, "gen", "--preset", "example1", "--out", str(path))
     assert code == 0
+    return str(path)
+
+
+@pytest.fixture()
+def wide_instance_file(tmp_path):
+    """One user above the rank-table cap, each holding one distinct packet."""
+    m = MAX_TABLE_USERS + 1
+    path = tmp_path / "wide.json"
+    save_instance(instance_from_packet_sets(FieldSpec(257), m, [(i,) for i in range(m)]), path)
     return str(path)
 
 
@@ -130,6 +141,7 @@ def test_code_verify_decode_pipeline(instance_file, tmp_path, capsys):
     )
     assert code == 0
     assert report["payload"]["rates"] == [1, 1, 3]
+    assert report["payload"]["cut_set_checked"] is True
 
     code, report, _ = run(capsys, "verify", instance_file, str(sched))
     assert code == 0
@@ -218,3 +230,32 @@ def test_reports_are_reproducible(instance_file, capsys):
     _, second, _ = run(capsys, "solve", instance_file, "--cost", "fair", "--beta", "5")
     assert first["payload"] == second["payload"]
     assert first["instance_digest"] == second["instance_digest"]
+
+
+def test_solve_above_table_cap_exits_1(wide_instance_file, capsys):
+    code, report, err = run(capsys, "solve", wide_instance_file, "--cost", "fair")
+    assert code == 1
+    assert report is None
+    assert "rank-table cap" in err and "Traceback" not in err
+
+
+def test_solve_randomized_above_table_cap(wide_instance_file, capsys):
+    m = MAX_TABLE_USERS + 1
+    code, report, _ = run(
+        capsys, "solve", wide_instance_file, "--cost", "fair", "--backend", "randomized",
+        "--beta", str(m),
+    )
+    assert code == 0
+    assert report["payload"]["rates"] == [1] * m
+
+
+def test_code_above_table_cap_warns_and_reports_skipped_check(wide_instance_file, tmp_path, capsys):
+    m = MAX_TABLE_USERS + 1
+    code, report, err = run(
+        capsys, "code", wide_instance_file, "--rates", ",".join(["1"] * m),
+        "--out", str(tmp_path / "s.json"),
+    )
+    assert code == 0
+    assert "warning" in err and "not checked" in err
+    assert report["payload"]["cut_set_checked"] is False
+

@@ -179,6 +179,10 @@ def test_row_basis_incremental_matches_batch_rank():
             assert basis.rank == expected
             assert grew == (expected == before + 1)
         assert basis.contains(a[0])
+        # The same rows in two batches reach the same rank.
+        batched = RowBasis(f, 4, a[:3])
+        assert batched.extend(a[3:]) == basis.rank - rank(FMatrix(f, a[:3]))
+        assert batched.rank == basis.rank
 
 
 def test_row_basis_copy_is_independent():

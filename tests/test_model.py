@@ -7,10 +7,13 @@ from hypothesis import strategies as st
 
 from dexchange.gf import FieldSpec, FMatrix, rank
 from dexchange.model import (
+    MAX_TABLE_USERS,
     CutSetOracle,
     InfeasibleInstance,
     InstanceError,
     ProblemInstance,
+    TableTooLarge,
+    _raw_supports,
     dilworth_value,
     generate_instance,
     in_cut_set_region,
@@ -19,6 +22,7 @@ from dexchange.model import (
     mask_of,
     members,
     preset_instance,
+    rank_table,
     save_instance,
 )
 
@@ -216,3 +220,140 @@ def test_oracle_is_shareable_across_threads(demo):
     for t in threads:
         t.join()
     assert all(r == results[0] for r in results)
+
+
+# ---------------------------------------------------------------------------
+# Dense rank table
+
+
+def _stacked_ranks(inst):
+    """rank(vstack(A_i for i in S)) for every subset S, from scratch."""
+    out = []
+    for s in range(1 << inst.m):
+        mats = [inst.observations[i] for i in members(s)]
+        out.append(rank(FMatrix.vstack(inst.field, mats, cols=inst.n_packets)))
+    return out
+
+
+def _complete(field, n, users):
+    """Instance from per-user row lists, with unit rows for the packets the
+    stacked rows miss added to the users in turn so the instance is valid."""
+    users = [list(rows) for rows in users]
+    stacked = [row for rows in users for row in rows]
+    have = rank(FMatrix(field, stacked, cols=n)) if stacked else 0
+    k = 0
+    for c in range(n):
+        if have == n:
+            break
+        unit = [0] * n
+        unit[c] = 1
+        if rank(FMatrix(field, stacked + [unit], cols=n)) > have:
+            stacked.append(unit)
+            users[k % len(users)].append(unit)
+            have += 1
+            k += 1
+    mats = tuple(FMatrix(field, rows, cols=n) for rows in users)
+    return ProblemInstance(field, n, mats)
+
+
+@st.composite
+def table_instances(draw):
+    q = draw(st.sampled_from((2, 3, 5, 257)))
+    m = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 5))
+    raw = draw(st.booleans())
+    users = []
+    for _ in range(m):
+        rows = []
+        for _ in range(draw(st.integers(0, 3))):
+            if raw:  # a scaled unit row
+                row = [0] * n
+                row[draw(st.integers(0, n - 1))] = draw(st.integers(1, q - 1))
+            else:
+                row = draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n))
+            rows.append(row)
+        users.append(rows)
+    if m > 1 and draw(st.booleans()):
+        users[-1] = list(users[0])  # duplicate users
+    return _complete(FieldSpec(q), n, users)
+
+
+@given(table_instances())
+@settings(max_examples=80, deadline=None)
+def test_rank_table_matches_stacked_ranks(inst):
+    table = CutSetOracle(inst).ranks
+    assert table.tolist() == _stacked_ranks(inst)
+    assert [CutSetOracle(inst).joint_rank(s) for s in range(1 << inst.m)] == table.tolist()
+
+
+@pytest.mark.parametrize(
+    "q, n, users, raw",
+    [
+        (2, 3, [[[1, 1, 0], [0, 1, 1]], [[1, 0, 1], [0, 0, 1]]], False),  # GF(2)
+        (5, 3, [[], [[1, 2, 3], [0, 1, 4]], [[0, 0, 1]]], False),  # a user with no rows
+        (5, 3, [[[1, 2, 0]], [[1, 2, 0]], [[0, 1, 1], [0, 0, 1]]], False),  # duplicate users
+        (257, 2, [[[3, 5], [1, 0]]], False),  # one user
+        (5, 3, [[[0, 3, 0]], [[2, 0, 0], [0, 4, 0]], [[0, 0, 1]]], True),  # scaled unit rows
+        (5, 3, [[[1, 1, 0]], [[0, 1, 0]], [[0, 0, 1]]], False),  # not a raw instance
+        (5, 3, [[], [[0, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 2]]], True),  # zero rows
+    ],
+)
+def test_rank_table_edge_cases(q, n, users, raw):
+    f = FieldSpec(q)
+    inst = ProblemInstance(f, n, tuple(FMatrix(f, rows, cols=n) for rows in users))
+    assert (_raw_supports(inst) is not None) == raw
+    assert rank_table(inst).tolist() == _stacked_ranks(inst)
+
+
+def test_rank_table_matches_on_generated_instances():
+    # The 70-packet raw instance takes packet bitmasks of two 64-bit words.
+    for kind, q, m, n, coverage in (
+        ("raw", 257, 7, 12, None),
+        ("raw", 2, 5, 70, (50,) * 5),
+        ("coded", 3, 6, 8, None),
+        ("coded", 257, 7, 10, None),
+    ):
+        for seed in range(3):
+            inst = generate_instance(kind, m, n, FieldSpec(q), coverage=coverage, seed=seed)
+            assert rank_table(inst).tolist() == _stacked_ranks(inst)
+
+
+def test_rank_table_is_read_only(demo_oracle):
+    with pytest.raises(ValueError):
+        demo_oracle.ranks[1] = 0
+
+
+def test_rank_table_user_cap():
+    m = MAX_TABLE_USERS + 1
+    inst = instance_from_packet_sets(FieldSpec(257), m, [(i,) for i in range(m)])
+    oracle = CutSetOracle(inst)  # construction builds nothing
+    with pytest.raises(TableTooLarge, match="rank-table cap"):
+        oracle.joint_rank(1)
+    with pytest.raises(TableTooLarge):
+        in_cut_set_region(oracle, (1,) * m)
+
+
+def test_racing_first_readers_see_the_whole_table():
+    import sys
+    import threading
+
+    inst = generate_instance("coded", 8, 10, FieldSpec(5), seed=4)
+    want = _stacked_ranks(inst)
+    oracle = CutSetOracle(inst)
+    results = []
+
+    def worker():
+        results.append([oracle.joint_rank(s) for s in range(1 << inst.m)])
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [want] * len(threads)

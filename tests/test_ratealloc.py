@@ -16,6 +16,7 @@ from dexchange.ratealloc import (
     convex_alloc,
     dual_maximizer,
     eval_h,
+    headrooms,
     increment_headroom,
     min_cost,
     min_sum_rate,
@@ -195,6 +196,29 @@ def test_transmit_set_shrinks_as_rates_grow(demo_oracle):
     assert transmit_set(demo_oracle, 5, [0, 0, 0]) == [0, 1, 2]
     assert transmit_set(demo_oracle, 5, [1, 0, 0]) == [1, 2]
     assert increment_headroom(demo_oracle, 5, [1, 0, 0], 0) == 0
+
+
+def test_batched_transmit_set_matches_per_user_headroom():
+    # The table-wide headrooms of the default engine against one coordinate
+    # minimization per user by the subgradient engine, along the rounds of
+    # an incremental allocation at a feasible budget.
+    subgradient = subgradient_minimizer()
+    for kind, q, seed in (("raw", 257, 0), ("raw", 257, 4), ("coded", 3, 1), ("coded", 257, 2)):
+        inst = generate_instance(kind, 3, 4, FieldSpec(q), seed=seed)
+        oracle = CutSetOracle(inst)
+        beta = min_sum_rate(oracle) + 1
+        rates = [0] * inst.m
+        for _ in range(beta + 1):
+            room = headrooms(oracle, beta, rates)
+            assert room == [increment_headroom(oracle, beta, rates, i, subgradient) for i in range(inst.m)]
+            assert all(type(r) is int for r in room)
+            eligible = transmit_set(oracle, beta, rates)
+            assert eligible == [i for i in range(inst.m) if room[i] >= 1]
+            assert transmit_set(oracle, beta, rates, subgradient) == eligible
+            if not eligible:
+                break
+            rates[cheapest_increment(FairCost(), rates, eligible)] += 1
+        assert sum(rates) == beta
 
 
 # ---------------------------------------------------------------------------

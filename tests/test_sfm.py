@@ -1,8 +1,32 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexchange.model import CutSetOracle, generate_instance, members
 from dexchange.gf import FieldSpec
 from dexchange.sfm import GroundSet, min_pinned
+
+
+def loop_min_pinned(oracle, beta, rates, ground):
+    """The per-subset Python loop ``min_pinned`` used to be: the reference."""
+    pin_bit = 1 << ground.pinned
+    best_val = oracle.cut_set_f(beta, pin_bit)
+    best_mask = 0
+    positions = members(ground.free)
+    size = 1 << len(positions)
+    masks = [0] * size
+    sums = [0] * size
+    for k in range(1, size):
+        low = k & -k
+        prev = k ^ low
+        b = positions[low.bit_length() - 1]
+        masks[k] = masks[prev] | (1 << b)
+        sums[k] = sums[prev] + rates[b]
+        val = oracle.cut_set_f(beta, masks[k] | pin_bit) - sums[k]
+        if val < best_val:
+            best_val = val
+            best_mask = masks[k]
+    return best_val, best_mask
 
 
 def test_ground_set_rejects_pinned_in_free():
@@ -82,3 +106,24 @@ def test_enumeration_matches_direct_scan(demo_oracle):
                 best,
                 best_mask,
             )
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.sampled_from((2, 3, 257)),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_array_min_pinned_matches_loop(kind, m, n, q, data):
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=data.draw(st.integers(0, 2**31 - 1)))
+    oracle = CutSetOracle(inst)
+    beta = data.draw(st.integers(0, n + 2))
+    rates = data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    pinned = data.draw(st.integers(0, m - 1))
+    free = data.draw(st.integers(0, inst.full_mask)) & ~(1 << pinned)
+    ground = GroundSet(free, pinned)
+    got = min_pinned(oracle, beta, rates, ground)
+    assert got == loop_min_pinned(oracle, beta, rates, ground)
+    assert all(type(v) is int for v in got)

@@ -8,7 +8,6 @@ from dexchange.validate import (
     cost_grid,
     region_vectors,
     run_reference_examples,
-    run_rlnc_stats,
     suite_instances,
 )
 
@@ -53,8 +52,3 @@ def test_suite_instances_deterministic():
 def test_reference_examples_all_pass():
     assert all(r.ok for r in run_reference_examples())
 
-
-def test_rlnc_stats_thread_count_does_not_change_outcomes():
-    a = run_rlnc_stats(q=19, trials=60, seed=9, threads=1)
-    b = run_rlnc_stats(q=19, trials=60, seed=9, threads=3)
-    assert a.detail["rate"] == b.detail["rate"]
