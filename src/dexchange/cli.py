@@ -65,6 +65,10 @@ EXIT_CONSTRUCTION = 3
 EXIT_DECODE = 4
 EXIT_PROPERTY = 5
 
+#: Bound on --beta and --rates, exclusive: the rank-table engines do their
+#: arithmetic in int64.
+MAX_BUDGET = 1 << 62
+
 
 def _emit(report: dict, human: str) -> None:
     json.dump(report, sys.stdout, indent=1, default=str)
@@ -156,6 +160,8 @@ def cmd_solve(args) -> int:
     caps = args.caps
     if caps is not None and len(caps) != inst.m:
         raise SystemExit(f"--caps must list {inst.m} values")
+    if args.beta is not None and not 0 <= args.beta < MAX_BUDGET:
+        raise SystemExit(f"--beta must lie in [0, {MAX_BUDGET})")
     if args.backend == "subgradient":
         minimizer = subgradient_minimizer()
     else:
@@ -288,6 +294,8 @@ def cmd_code(args) -> int:
     inst = _load(args.instance)
     if len(args.rates) != inst.m:
         raise SystemExit(f"--rates must list {inst.m} values")
+    if max(args.rates) >= MAX_BUDGET:
+        raise SystemExit(f"--rates must lie below {MAX_BUDGET}")
     checked = inst.m <= MAX_TABLE_USERS
     if not checked:
         print(

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import CutSetOracle, members, subset_sums
 
 

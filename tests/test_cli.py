@@ -89,6 +89,23 @@ def test_solve_infeasible_budget_exits_2(instance_file, capsys):
     assert report["payload"]["feasible"] is False
 
 
+@pytest.mark.parametrize("beta", ["-1", str(1 << 70)])
+def test_solve_budget_out_of_range_exits_1(instance_file, capsys, beta):
+    code, report, err = run(
+        capsys, "solve", instance_file, "--cost", "linear", "--weights", "1,1,1", "--beta", beta
+    )
+    assert code == 1
+    assert report is None
+    assert "--beta must lie in" in err
+
+
+def test_code_rates_out_of_range_exits_1(instance_file, capsys):
+    code, report, err = run(capsys, "code", instance_file, "--rates", f"1,1,{1 << 70}")
+    assert code == 1
+    assert report is None
+    assert "--rates must lie below" in err
+
+
 def test_solve_caps(instance_file, capsys):
     code, report, _ = run(
         capsys, "solve", instance_file, "--cost", "linear", "--weights", "1,3,2",
