@@ -26,7 +26,8 @@ def instance_file(tmp_path, capsys):
 
 @pytest.fixture()
 def wide_instance_file(tmp_path):
-    """One user above the rank-table cap, each holding one distinct packet."""
+    """One user more than the rank-table cap allows, each user holding one
+    distinct packet."""
     m = MAX_TABLE_USERS + 1
     path = tmp_path / "wide.json"
     save_instance(instance_from_packet_sets(FieldSpec(257), m, [(i,) for i in range(m)]), path)
