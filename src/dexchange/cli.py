@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -28,6 +29,7 @@ from .model import (
     generate_instance,
     load_instance,
     preset_instance,
+    save_instance,
 )
 from .netcode import (
     ConstructionFailed,
@@ -47,7 +49,11 @@ from .ratealloc import (
     Infeasible,
     LinearCost,
     TableCost,
+    _check_caps,
+    budget_ceiling,
+    cheapest_budget,
     eval_h,
+    first_feasible,
     min_cost,
     sfm_minimizer,
     subgradient_minimizer,
@@ -68,6 +74,12 @@ EXIT_PROPERTY = 5
 #: Bound on --beta and --rates, exclusive: the rank-table engines do their
 #: arithmetic in int64.
 MAX_BUDGET = 1 << 62
+
+
+def _stream(beta: int, attempt: int) -> int:
+    """RNG stream of randomized attempt ``attempt`` at budget ``beta``; one
+    per pair, for any attempt count, since ``beta < MAX_BUDGET``."""
+    return attempt * MAX_BUDGET + beta
 
 
 def _emit(report: dict, human: str) -> None:
@@ -94,6 +106,13 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _write(save, obj, path) -> None:
+    try:
+        save(obj, path)
+    except OSError as exc:
+        raise SystemExit(f"cannot write output: {exc}")
+
+
 def _load(path: str) -> ProblemInstance:
     try:
         return load_instance(path)
@@ -109,7 +128,10 @@ def _cost_from_args(args, m: int):
             raise SystemExit("--cost linear requires --weights")
         if len(args.weights) != m:
             raise SystemExit(f"--weights must list {m} values")
-        return LinearCost(args.weights)
+        try:
+            return LinearCost(args.weights)
+        except ValueError as exc:
+            raise SystemExit(f"bad --weights: {exc}")
     if args.cost == "fair":
         return FairCost()
     if args.table is None:
@@ -136,13 +158,10 @@ def cmd_gen(args) -> int:
     except (InfeasibleInstance, InstanceError, ValueError) as exc:
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    doc = inst.to_json_dict()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as f:
-            json.dump(doc, f, indent=1)
-            f.write("\n")
+        _write(save_instance, inst, args.out)
     else:
-        json.dump(doc, sys.stdout, indent=1)
+        json.dump(inst.to_json_dict(), sys.stdout, indent=1)
         sys.stdout.write("\n")
     print(
         f"instance {inst.digest()}: m={inst.m} N={inst.n_packets} q={inst.field.p} "
@@ -157,9 +176,10 @@ def cmd_solve(args) -> int:
     inst = _load(args.instance)
     oracle = CutSetOracle(inst)
     cost = _cost_from_args(args, inst.m)
-    caps = args.caps
-    if caps is not None and len(caps) != inst.m:
-        raise SystemExit(f"--caps must list {inst.m} values")
+    try:
+        caps = _check_caps(args.caps, inst.m)
+    except ValueError as exc:
+        raise SystemExit(f"bad --caps: {exc}")
     if args.beta is not None and not 0 <= args.beta < MAX_BUDGET:
         raise SystemExit(f"--beta must lie in [0, {MAX_BUDGET})")
     if args.backend == "subgradient":
@@ -212,79 +232,49 @@ def cmd_solve(args) -> int:
 
 
 def _solve_randomized(oracle, cost, caps, args) -> dict:
-    """Fixed-budget randomized run, or a budget search with randomized
-    evaluations when --beta is omitted.
+    """Randomized run at --beta, or a budget search over randomized runs.
 
-    A budget counts as feasible when some attempt completes all rounds and
-    verifies decodable; small fields can produce spurious infeasibility with
-    probability decaying in the attempt budget.
+    h(beta) is the cost of the first of --max-retries attempts at ``beta``
+    that completes all rounds and verifies decodable, and infinite when
+    none does; small fields make that spurious with probability decaying in
+    the attempt count.  Each (beta, attempt) pair draws from its own stream,
+    so --beta B reproduces the schedule the search found at B.
     """
     inst = oracle.instance
+    runs: dict[int, tuple | None] = {}
 
-    def attempt(beta, stream):
-        for k in range(args.max_retries):
-            rng = RngSpec(args.seed, stream + k)
-            try:
-                alloc, schedule = randomized_alloc(oracle, beta, cost, caps, rng)
-            except Infeasible:
-                continue
-            if verify_decodable(inst, schedule).all_ok:
-                return alloc, schedule
-        return None
+    def h(beta):
+        if beta not in runs:
+            runs[beta] = None
+            for attempt in range(args.max_retries):
+                rng = RngSpec(args.seed, _stream(beta, attempt))
+                try:
+                    alloc, schedule = randomized_alloc(oracle, beta, cost, caps, rng)
+                except Infeasible:
+                    continue
+                if verify_decodable(inst, schedule).all_ok:
+                    runs[beta] = alloc, schedule
+                    break
+        got = runs[beta]
+        return math.inf if got is None else sum(cost.value(i, r) for i, r in enumerate(got[0].rates))
 
     if args.beta is not None:
-        got = attempt(args.beta, 0)
-        if got is None:
+        beta = args.beta
+        if h(beta) == math.inf:
             raise Infeasible(
-                f"no decodable run at budget {args.beta} after {args.max_retries} attempts",
-                beta=args.beta,
+                f"no decodable run at budget {beta} after {args.max_retries} attempts", beta=beta
             )
-        alloc, schedule = got
     else:
-        n = inst.n_packets
-        tried: dict[int, tuple] = {}
-
-        def h(beta):
-            if beta not in tried:
-                tried[beta] = attempt(beta, 1000 * (beta + 1))
-            got = tried[beta]
-            if got is None:
-                return None
-            return sum(cost.value(i, r) for i, r in enumerate(got[0].rates))
-
-        if h(0) is not None:
-            beta_min = 0
-        else:
-            lo, hi = 0, n
-            if h(hi) is None:
-                raise Infeasible(f"no decodable run up to budget {n}", beta=n)
-            while hi - lo > 1:
-                mid = (lo + hi + 1) // 2
-                if h(mid) is not None:
-                    hi = mid
-                else:
-                    lo = mid
-            beta_min = hi
-        lo, hi = beta_min, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            nxt = h(mid + 1)
-            cur = h(mid)
-            if nxt is None or cur is None:  # noise guard; treat as flat
-                break
-            if nxt >= cur - 1e-12:
-                hi = mid
-            else:
-                lo = mid + 1
-        alloc, schedule = tried[lo]
-
+        hi = budget_ceiling(inst.n_packets, caps)
+        beta = cheapest_budget(h, first_feasible(lambda b: h(b) < math.inf, hi), hi)
+    alloc, schedule = runs[beta]
     if args.schedule_out:
-        save_schedule(schedule, args.schedule_out)
+        _write(save_schedule, schedule, args.schedule_out)
     return {
         "feasible": True,
-        "beta": alloc.beta,
+        "beta": beta,
         "rates": list(alloc.rates),
-        "cost": sum(cost.value(i, r) for i, r in enumerate(alloc.rates)),
+        "cost": h(beta),
         "schedule": args.schedule_out,
     }
 
@@ -324,7 +314,7 @@ def cmd_code(args) -> int:
             f"construction failed: {exc}",
         )
         return EXIT_CONSTRUCTION
-    save_schedule(schedule, args.out)
+    _write(save_schedule, schedule, args.out)
     payload = {
         "schedule": args.out,
         "rates": list(schedule.counts(inst.m)),

@@ -59,18 +59,6 @@ class FieldSpec:
         if self.p > MAX_MODULUS:
             raise ValueError(f"field order {self.p} exceeds the supported maximum {MAX_MODULUS}")
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
-
     def inv(self, a: int) -> int:
         """Multiplicative inverse by Fermat's little theorem."""
         if a % self.p == 0:

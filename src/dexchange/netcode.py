@@ -18,7 +18,7 @@ import numpy as np
 
 from .gf import FieldSpec, FMatrix, RowBasis, rank, solve_full_rank
 from .model import MAX_TABLE_USERS, CutSetOracle, ProblemInstance, in_cut_set_region
-from .ratealloc import Allocation, Infeasible, cheapest_increment
+from .ratealloc import Allocation, _check_caps, allocate_rounds
 
 
 class InfeasibleRates(ValueError):
@@ -88,10 +88,17 @@ class TransmissionSchedule:
         return np.array([e.combo for e in self.entries], dtype=np.int64)
 
     def validate_against(self, instance: ProblemInstance) -> None:
-        """Check every stored row against its recomputation from (coeffs, A_user)."""
+        """Check that rounds run 1, 2, ... in order, that every sender is a
+        user of ``instance``, and every stored row against its recomputation
+        from (coeffs, A_user)."""
         if instance.field.p != self.q or instance.n_packets != self.n_packets:
             raise ValueError("schedule and instance disagree on field or packet count")
-        for e in self.entries:
+        for k, e in enumerate(self.entries, 1):
+            # type() rather than isinstance: JSON booleans are ints to Python.
+            if type(e.round) is not int or e.round != k:
+                raise ValueError(f"entry {k} has round {e.round!r}; rounds must run 1, 2, ...")
+            if type(e.user) is not int or not 0 <= e.user < instance.m:
+                raise ValueError(f"round {k}: sender {e.user!r} is not among the {instance.m} users")
             expected = instance.observations[e.user].combine_rows(e.coeffs)
             if tuple(int(v) for v in expected) != e.combo:
                 raise ValueError(f"round {e.round}: stored row does not match its coefficients")
@@ -115,20 +122,19 @@ class TransmissionSchedule:
         try:
             q = int(data["q"])
             n = int(data["N"])
-            raw = data["entries"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"schedule document is missing key {exc}") from None
-        entries = tuple(
-            ScheduleEntry(
-                round=int(e["round"]),
-                user=int(e["user"]),
-                coeffs=tuple(int(v) for v in e["b"]),
-                combo=tuple(int(v) for v in e["u"]),
+            entries = tuple(
+                ScheduleEntry(
+                    round=e["round"],
+                    user=e["user"],
+                    coeffs=tuple(int(v) for v in e["b"]),
+                    combo=tuple(int(v) for v in e["u"]),
+                )
+                for e in data["entries"]
             )
-            for e in raw
-        )
-        rng = data.get("rng")
-        spec = RngSpec(int(rng["seed"]), int(rng.get("stream", 0))) if rng else None
+            rng = data.get("rng")
+            spec = RngSpec(int(rng["seed"]), int(rng.get("stream", 0))) if rng else None
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ValueError(f"schedule document is malformed: {exc!r}") from None
         return cls(q, n, entries, spec)
 
 
@@ -144,7 +150,7 @@ def save_schedule(schedule: TransmissionSchedule, path) -> None:
 
 
 class ExchangeState:
-    """Round-by-round exchange driver with incremental rank tracking.
+    """Round-by-round exchange state with incremental rank tracking.
 
     Keeps one reduced row basis per user (their observation rows plus every
     broadcast row so far), so the per-round transmit set comes from rank
@@ -197,39 +203,24 @@ def randomized_alloc(
 ) -> tuple[Allocation, TransmissionSchedule]:
     """Allocate ``beta`` units with random transmissions generated as it goes.
 
-    Each round the rank-based transmit set replaces the polyhedral check;
-    the cheapest eligible user broadcasts a fresh uniform combination of its
-    rows.  The returned schedule is not verified here: decodability of the
-    draws is a separate check (:func:`verify_decodable`), failing with
-    probability at most ``1 - (1 - m/q)^beta``.
+    Runs :func:`ratealloc.allocate_rounds` with the rank-based transmit set
+    in place of the polyhedral check; the cheapest eligible user broadcasts
+    a fresh uniform combination of its rows.  The returned schedule is not
+    verified here: decodability of the draws is a separate check
+    (:func:`verify_decodable`), failing with probability at most
+    ``1 - (1 - m/q)^beta``.
     """
     inst = oracle.instance
-    if caps is not None:
-        caps = tuple(int(c) for c in caps)
-        if len(caps) != inst.m or any(c < 0 for c in caps):
-            raise ValueError(f"capacity vector of length {inst.m} with non-negative entries required")
+    caps = _check_caps(caps, inst.m)
     gen = rng.generator()
     state = ExchangeState(inst, beta)
-    tsets = []
-    for rnd in range(1, beta + 1):
-        eligible = [
-            i
-            for i in state.transmit_set()
-            if caps is None or state.rates[i] + 1 <= caps[i]
-        ]
-        if not eligible:
-            raise Infeasible(
-                f"round {rnd}: no user may transmit",
-                beta=beta,
-                achieved_sum=sum(state.rates),
-                rounds_completed=rnd - 1,
-            )
-        tsets.append(tuple(eligible))
-        user = cheapest_increment(cost, state.rates, eligible)
-        coeffs = gen.integers(0, inst.field.p, size=inst.observations[user].rows)
-        state.step(user, coeffs)
+
+    def broadcast(user):
+        state.step(user, gen.integers(0, inst.field.p, size=inst.observations[user].rows))
+
+    alloc = allocate_rounds(inst.m, beta, cost, lambda rates: state.transmit_set(), caps, broadcast)
     schedule = TransmissionSchedule(inst.field.p, inst.n_packets, tuple(state.entries), rng)
-    return Allocation(tuple(state.rates), beta, tsets=tuple(tsets)), schedule
+    return alloc, schedule
 
 
 @dataclass(frozen=True)

@@ -9,9 +9,10 @@ polytope:
   shortfall in the achieved sum.
 * :func:`convex_alloc` grows the allocation one unit per round, always
   giving the unit to the cheapest user whose increment stays inside the
-  polytope (optimal for any separable convex non-decreasing cost).
-* :func:`min_sum_rate` and :func:`min_cost` search the budget axis, using
-  the convexity of the per-budget optimum.
+  polytope (optimal for any separable convex non-decreasing cost), through
+  the round driver :func:`allocate_rounds` that the randomized solver shares.
+* :func:`min_sum_rate` and :func:`min_cost` bisect the budget axis with
+  :func:`search_budget`, using the convexity of the per-budget optimum.
 
 The shared coordinate step ("how far can this user's rate grow") is a small
 submodular minimization.  Two interchangeable engines provide it: exact
@@ -336,6 +337,40 @@ def modified_edmonds(oracle, beta, weights, caps=None, minimizer=sfm_minimizer) 
     return Allocation(tuple(rates), beta)
 
 
+def search_budget(ok, lo: int, hi: int) -> int:
+    """Smallest budget in ``[lo, hi]`` passing ``ok``, which must be monotone
+    and hold at ``hi`` (never probed).  Every budget search bisects here."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if ok(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def budget_ceiling(n_packets: int, caps=None) -> int:
+    """Largest budget any search probes: N, or the total capacity if smaller."""
+    return n_packets if caps is None else min(n_packets, sum(caps))
+
+
+def first_feasible(feasible, hi: int, hi_known: bool = False) -> int:
+    """Smallest budget in ``[0, hi]`` passing the monotone ``feasible``; ``hi``
+    is probed unless ``hi_known``, and :class:`Infeasible` raised if it fails."""
+    if feasible(0):
+        return 0
+    if not hi_known and (hi == 0 or not feasible(hi)):
+        raise Infeasible(f"no budget up to {hi} is feasible", beta=hi)
+    return search_budget(feasible, 1, hi)
+
+
+def cheapest_budget(h, lo: int, hi: int) -> int:
+    """Smallest minimizer on ``[lo, hi]`` of a budget cost ``h``, convex where
+    feasible and ``math.inf`` elsewhere: the first budget whose forward
+    difference is non-negative, so an infeasible next budget is not cheaper."""
+    return search_budget(lambda b: h(b + 1) >= h(b) - D_TIE, lo, hi)
+
+
 def min_sum_rate(oracle, caps=None, minimizer=sfm_minimizer) -> int:
     """Smallest feasible total budget, by bisection on feasibility.
 
@@ -354,21 +389,7 @@ def min_sum_rate(oracle, caps=None, minimizer=sfm_minimizer) -> int:
         except Infeasible:
             return False
 
-    if feasible(0):
-        return 0
-    hi = inst.n_packets if caps is None else min(inst.n_packets, sum(caps))
-    if caps is not None and (hi == 0 or not feasible(hi)):
-        raise Infeasible(
-            f"no budget up to {hi} is reachable under the given caps", beta=hi
-        )
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi + 1) // 2
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return first_feasible(feasible, budget_ceiling(inst.n_packets, caps), hi_known=caps is None)
 
 
 def increment_headroom(oracle, beta, rates, user, minimizer=sfm_minimizer) -> int:
@@ -407,15 +428,41 @@ def transmit_set(oracle, beta, rates, minimizer=sfm_minimizer) -> list[int]:
     return [i for i in range(m) if room[i] >= 1]
 
 
+def allocate_rounds(m, beta, cost, transmit, caps=None, step=None) -> Allocation:
+    """Round-by-round allocation driver shared by the incremental solvers.
+
+    Each of the ``beta`` rounds asks ``transmit(rates)`` which users may
+    send, keeps those still under their cap, records them in ``tsets``, and
+    gives the unit to the cheapest (near-ties by index), after announcing
+    it to ``step(user)`` when given.  An empty eligible set raises
+    :class:`Infeasible` carrying the number of completed rounds.
+    """
+    rates = [0] * m
+    tsets = []
+    for rnd in range(1, beta + 1):
+        eligible = [i for i in transmit(rates) if caps is None or rates[i] < caps[i]]
+        if not eligible:
+            raise Infeasible(
+                f"round {rnd}: no user can extend the allocation",
+                beta=beta,
+                achieved_sum=sum(rates),
+                rounds_completed=rnd - 1,
+            )
+        tsets.append(tuple(eligible))
+        user = cheapest_increment(cost, rates, eligible)
+        if step is not None:
+            step(user)
+        rates[user] += 1
+    return Allocation(tuple(rates), beta, tsets=tuple(tsets))
+
+
 def convex_alloc(oracle, beta, cost, caps=None, minimizer=sfm_minimizer) -> Allocation:
     """Incremental allocator for separable convex non-decreasing costs.
 
-    Runs ``beta`` rounds from the zero vector; each round computes the set
-    of users whose unit increment stays inside the budgeted polytope and
-    under their cap, then increments the one with the smallest discrete
-    derivative (near-ties by index).  An empty eligible set proves the
-    budget (or the caps) infeasible; the raised :class:`Infeasible` carries
-    the number of completed rounds.
+    Runs :func:`allocate_rounds` from the zero vector with the polytope
+    transmit set: a user is eligible while its unit increment stays inside
+    the budgeted polytope and under its cap.  An empty eligible set proves
+    the budget (or the caps) infeasible.
     """
     inst = oracle.instance
     m = inst.m
@@ -434,24 +481,9 @@ def convex_alloc(oracle, beta, cost, caps=None, minimizer=sfm_minimizer) -> Allo
                 rounds_completed=0,
             )
         return Allocation((0,) * m, 0, tsets=())
-    rates = [0] * m
-    tsets = []
-    for rnd in range(1, beta + 1):
-        eligible = [
-            i
-            for i in transmit_set(oracle, beta, rates, minimizer)
-            if caps is None or rates[i] + 1 <= caps[i]
-        ]
-        if not eligible:
-            raise Infeasible(
-                f"round {rnd}: no user can extend the allocation",
-                beta=beta,
-                achieved_sum=sum(rates),
-                rounds_completed=rnd - 1,
-            )
-        tsets.append(tuple(eligible))
-        rates[cheapest_increment(cost, rates, eligible)] += 1
-    return Allocation(tuple(rates), beta, tsets=tuple(tsets))
+    return allocate_rounds(
+        m, beta, cost, lambda rates: transmit_set(oracle, beta, rates, minimizer), caps
+    )
 
 
 def eval_h(oracle, beta, cost, caps=None, minimizer=sfm_minimizer):
@@ -491,7 +523,6 @@ def min_cost(oracle, cost, caps=None, minimizer=sfm_minimizer) -> MinCostResult:
     inst = oracle.instance
     caps = _check_caps(caps, inst.m)
     beta_min = min_sum_rate(oracle, caps, minimizer)
-    hi = inst.n_packets if caps is None else min(inst.n_packets, sum(caps))
     cache: dict[int, tuple[float, Allocation | None]] = {}
 
     def h(b: int) -> float:
@@ -502,20 +533,11 @@ def min_cost(oracle, cost, caps=None, minimizer=sfm_minimizer) -> MinCostResult:
                 cache[b] = (math.inf, None)
         return cache[b][0]
 
-    def slope_ok(b: int) -> bool:
-        return b >= hi or h(b + 1) >= h(b) - D_TIE
-
-    lo, top = beta_min, hi
-    while lo < top:
-        mid = (lo + top) // 2
-        if slope_ok(mid):
-            top = mid
-        else:
-            lo = mid + 1
-    value, alloc = cache[lo] if lo in cache else eval_h(oracle, lo, cost, caps, minimizer)
+    beta = cheapest_budget(h, beta_min, budget_ceiling(inst.n_packets, caps))
+    value, alloc = cache[beta] if beta in cache else eval_h(oracle, beta, cost, caps, minimizer)
     if alloc is None:
-        raise Infeasible(f"budget {lo} unexpectedly infeasible", beta=lo)
-    return MinCostResult(lo, value, alloc, beta_min)
+        raise Infeasible(f"budget {beta} unexpectedly infeasible", beta=beta)
+    return MinCostResult(beta, value, alloc, beta_min)
 
 
 def restriction_value(oracle, beta, caps, subset) -> int:

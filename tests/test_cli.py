@@ -4,7 +4,15 @@ import pytest
 
 from dexchange.cli import main
 from dexchange.gf import FieldSpec
-from dexchange.model import MAX_TABLE_USERS, instance_from_packet_sets, save_instance
+from dexchange.model import (
+    MAX_TABLE_USERS,
+    CutSetOracle,
+    instance_from_packet_sets,
+    load_instance,
+    save_instance,
+)
+from dexchange.netcode import load_schedule, randomized_alloc
+from dexchange.ratealloc import FairCost
 
 
 def run(capsys, *argv):
@@ -277,3 +285,109 @@ def test_code_above_table_cap_warns_and_reports_skipped_check(wide_instance_file
     assert "warning" in err and "not checked" in err
     assert report["payload"]["cut_set_checked"] is False
 
+
+@pytest.fixture()
+def small_field_file(tmp_path, capsys):
+    """The demo instance over GF(3), where randomized draws often fail."""
+    path = tmp_path / "demo3.json"
+    code, _, _ = run(capsys, "gen", "--preset", "example1", "--q", "3", "--out", str(path))
+    assert code == 0
+    return str(path)
+
+
+def test_solve_randomized_search_tops_out_at_total_capacity(tmp_path, capsys):
+    path = tmp_path / "raw.json"
+    assert run(capsys, "gen", "--kind", "raw", "--m", "4", "--n", "6", "--out", str(path))[0] == 0
+    code, exact, _ = run(capsys, "solve", str(path), "--cost", "fair")
+    assert code == 0
+    caps = exact["payload"]["rates"]
+    assert sum(caps) < 6
+    code, report, _ = run(
+        capsys, "solve", str(path), "--cost", "fair", "--backend", "randomized",
+        "--caps", ",".join(map(str, caps)),
+    )
+    assert code == 0
+    assert report["payload"]["beta"] == exact["payload"]["beta"]
+
+
+def test_solve_randomized_fixed_budget_reproduces_search_schedule(
+    small_field_file, tmp_path, capsys
+):
+    searched, fixed = tmp_path / "searched.json", tmp_path / "fixed.json"
+    argv = ["solve", small_field_file, "--cost", "fair", "--backend", "randomized", "--seed", "1"]
+    code, report, _ = run(capsys, *argv, "--schedule-out", str(searched))
+    assert code == 0
+    beta = report["payload"]["beta"]
+    code, again, _ = run(capsys, *argv, "--beta", str(beta), "--schedule-out", str(fixed))
+    assert code == 0
+    assert again["payload"]["rates"] == report["payload"]["rates"]
+    assert fixed.read_text() == searched.read_text()
+    # The recorded stream alone regenerates the schedule.
+    schedule = load_schedule(searched)
+    oracle = CutSetOracle(load_instance(small_field_file))
+    assert randomized_alloc(oracle, beta, FairCost(), rng=schedule.rng)[1] == schedule
+
+
+def test_solve_randomized_search_ignores_unused_retries(small_field_file, tmp_path, capsys):
+    # Each budget's attempts draw from the same streams whatever the retry
+    # budget, so extra retries only matter where all of the first 8 fail.
+    reports = []
+    for retries in ("8", "2000"):
+        out = tmp_path / f"s{retries}.json"
+        code, report, _ = run(
+            capsys, "solve", small_field_file, "--cost", "fair", "--backend", "randomized",
+            "--seed", "3", "--max-retries", retries, "--schedule-out", str(out),
+        )
+        assert code == 0
+        reports.append((report["payload"]["beta"], report["payload"]["rates"], out.read_text()))
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--cost", "linear", "--weights", "1,0,1"], "bad --weights"),
+        (["--cost", "fair", "--caps", "1,1,-1"], "bad --caps"),
+        (["--cost", "fair", "--caps", "1,1,-1", "--backend", "randomized"], "bad --caps"),
+    ],
+)
+def test_solve_rejects_bad_costs_and_caps(instance_file, capsys, argv, message):
+    code, report, err = run(capsys, "solve", instance_file, *argv)
+    assert code == 1
+    assert report is None
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--preset", "example1", "--out", "{out}"],
+        ["code", "{instance}", "--rates", "1,1,3", "--out", "{out}"],
+        [
+            "solve", "{instance}", "--cost", "fair", "--backend", "randomized",
+            "--schedule-out", "{out}",
+        ],
+    ],
+    ids=["gen", "code", "solve"],
+)
+def test_unwritable_output_path_exits_1(instance_file, tmp_path, capsys, argv):
+    out = str(tmp_path / "missing" / "x.json")
+    code, report, err = run(capsys, *(a.format(out=out, instance=instance_file) for a in argv))
+    assert code == 1
+    assert report is None
+    assert "cannot write output" in err
+
+
+@pytest.mark.parametrize("cmd", [["verify"], ["decode", "--user", "0"]])
+def test_schedule_with_out_of_range_sender_exits_1(instance_file, tmp_path, capsys, cmd):
+    sched = tmp_path / "sched.json"
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", str(sched))[0] == 0
+    doc = json.loads(sched.read_text())
+    for e in doc["entries"]:
+        if e["user"] == 0:
+            e["user"] = -3
+    sched.write_text(json.dumps(doc))
+    code, report, err = run(capsys, cmd[0], instance_file, str(sched), *cmd[1:])
+    assert code == 1
+    assert report is None
+    assert "bad schedule" in err and "sender -3" in err

@@ -1,7 +1,10 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexchange.gf import FieldSpec
 from dexchange.model import CutSetOracle, generate_instance, preset_instance
@@ -279,3 +282,75 @@ def test_schedule_rows_recompute_from_coefficients(demo):
     for e in schedule.entries:
         expected = demo.observations[e.user].combine_rows(e.coeffs)
         assert tuple(int(v) for v in expected) == e.combo
+
+
+def _tampered(demo, key, rewrite):
+    doc = construct_code(demo, (1, 1, 3), RngSpec(4)).to_json_dict()
+    for e in doc["entries"]:
+        e[key] = rewrite(e[key])
+    return TransmissionSchedule.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "key, rewrite",
+    [
+        ("user", lambda u: -3 if u == 0 else u),  # wraps to user 0 under indexing
+        ("user", lambda u: 3 if u == 0 else u),
+        ("user", lambda u: True if u == 1 else u),
+        ("round", lambda r: r + 1),
+        ("round", lambda r: 1),
+        ("round", lambda r: True if r == 1 else r),
+    ],
+)
+def test_schedule_validation_rejects_bad_senders_and_rounds(demo, key, rewrite):
+    with pytest.raises(ValueError, match="sender" if key == "user" else "rounds must run"):
+        _tampered(demo, key, rewrite).validate_against(demo)
+
+
+_ENTRY_VALUES = st.one_of(st.integers(-4, 7), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    mutations=st.lists(
+        st.tuples(st.integers(0, 4), st.sampled_from(["round", "user"]), _ENTRY_VALUES),
+        max_size=3,
+    )
+)
+def test_schedule_validation_over_entry_mutations(demo, mutations):
+    # Any accepted schedule has real senders and rounds 1..n in order, and
+    # the untouched schedule is always accepted.
+    base = construct_code(demo, (1, 1, 3), RngSpec(4)).to_json_dict()
+    doc = copy.deepcopy(base)
+    for k, key, value in mutations:
+        doc["entries"][k][key] = value
+    sound = all(
+        type(e["round"]) is int and e["round"] == k
+        and type(e["user"]) is int and 0 <= e["user"] < demo.m
+        for k, e in enumerate(doc["entries"], 1)
+    )
+    untouched = all(
+        type(e[key]) is type(b[key]) and e[key] == b[key]
+        for e, b in zip(doc["entries"], base["entries"])
+        for key in ("round", "user")
+    )
+    try:
+        TransmissionSchedule.from_json_dict(doc).validate_against(demo)
+    except ValueError:
+        assert not untouched
+        return
+    assert sound
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"q": 257, "N": 6, "entries": [{"round": 1, "user": 0, "b": [1]}]},
+        {"q": 257, "N": 6, "entries": [3]},
+        {"q": 257, "N": 6, "entries": [], "rng": [1]},
+        [],
+    ],
+)
+def test_schedule_loader_rejects_malformed_documents(doc):
+    with pytest.raises(ValueError, match="malformed"):
+        TransmissionSchedule.from_json_dict(doc)

@@ -12,6 +12,7 @@ from dexchange.ratealloc import (
     LinearCost,
     SubgradientConfig,
     TableCost,
+    allocate_rounds,
     cheapest_increment,
     convex_alloc,
     dual_maximizer,
@@ -219,6 +220,9 @@ def test_batched_transmit_set_matches_per_user_headroom():
                 break
             rates[cheapest_increment(FairCost(), rates, eligible)] += 1
         assert sum(rates) == beta
+        # The shared round driver fed the polytope transmit set is convex_alloc.
+        driven = allocate_rounds(inst.m, beta, FairCost(), lambda r: transmit_set(oracle, beta, r))
+        assert driven == convex_alloc(oracle, beta, FairCost()) and driven.rates == tuple(rates)
 
 
 # ---------------------------------------------------------------------------
