@@ -2,7 +2,6 @@
 verified network-coded transmission schedules."""
 
 from .gf import (
-    DivisionByZero,
     FieldSpec,
     FMatrix,
     RowBasis,
@@ -48,10 +47,8 @@ from .ratealloc import (
     Infeasible,
     LinearCost,
     MinCostResult,
-    SubgradientConfig,
     TableCost,
     convex_alloc,
-    dual_maximizer,
     eval_h,
     increment_headroom,
     min_cost,

@@ -138,10 +138,12 @@ def _cost_from_args(args, m: int):
         raise SystemExit("--cost table requires --table FILE")
     try:
         with open(args.table, "r", encoding="utf-8") as f:
-            tables = json.load(f)
-        return TableCost(tables)
-    except (OSError, ValueError) as exc:
+            cost = TableCost(json.load(f))
+    except (OSError, ValueError, TypeError) as exc:
         raise SystemExit(f"bad table file: {exc}")
+    if len(cost.derivs) != m:
+        raise SystemExit(f"bad table file: {m} increment tables required")
+    return cost
 
 
 def cmd_gen(args) -> int:
@@ -182,6 +184,8 @@ def cmd_solve(args) -> int:
         raise SystemExit(f"bad --caps: {exc}")
     if args.beta is not None and not 0 <= args.beta < MAX_BUDGET:
         raise SystemExit(f"--beta must lie in [0, {MAX_BUDGET})")
+    if args.max_retries < 1:
+        raise SystemExit("--max-retries must be at least 1")
     if args.backend == "subgradient":
         minimizer = subgradient_minimizer()
     else:
@@ -286,6 +290,8 @@ def cmd_code(args) -> int:
         raise SystemExit(f"--rates must list {inst.m} values")
     if max(args.rates) >= MAX_BUDGET:
         raise SystemExit(f"--rates must lie below {MAX_BUDGET}")
+    if args.max_retries < 1:
+        raise SystemExit("--max-retries must be at least 1")
     checked = inst.m <= MAX_TABLE_USERS
     if not checked:
         print(

@@ -25,10 +25,6 @@ class ShapeError(ValueError):
     """Operands have incompatible dimensions."""
 
 
-class DivisionByZero(ZeroDivisionError):
-    """Multiplicative inverse of zero was requested."""
-
-
 class SingularSystem(ValueError):
     """Linear system does not have a unique solution."""
 
@@ -54,16 +50,12 @@ class FieldSpec:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise ValueError(f"field order {self.p} is not prime")
+        # The size check comes first: trial division of a large prime would
+        # take minutes.
         if self.p > MAX_MODULUS:
             raise ValueError(f"field order {self.p} exceeds the supported maximum {MAX_MODULUS}")
-
-    def inv(self, a: int) -> int:
-        """Multiplicative inverse by Fermat's little theorem."""
-        if a % self.p == 0:
-            raise DivisionByZero(f"0 has no inverse in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
+        if not is_prime(self.p):
+            raise ValueError(f"field order {self.p} is not prime")
 
 
 class FMatrix:
@@ -102,9 +94,6 @@ class FMatrix:
         """Read-only view of the entries."""
         return self._a
 
-    def row(self, i: int) -> np.ndarray:
-        return self._a[i]
-
     def mat_vec(self, vec) -> np.ndarray:
         """Return ``M @ vec`` over the field."""
         v = np.asarray(vec, dtype=np.int64)
@@ -120,10 +109,6 @@ class FMatrix:
         if self.rows == 0:
             return np.zeros(self.cols, dtype=np.int64)
         return (c @ self._a) % self.field.p
-
-    @classmethod
-    def identity(cls, field: FieldSpec, n: int) -> "FMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
 
     @classmethod
     def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FMatrix":
@@ -265,11 +250,6 @@ class RowBasis:
         if v.shape != (self.cols,):
             raise ShapeError(f"row of length {self.cols} required")
         return self.extend(v.reshape(1, -1)) > 0
-
-    def contains(self, row) -> bool:
-        """True if ``row`` already lies in the spanned row space."""
-        v = np.asarray(row, dtype=np.int64).reshape(1, -1)
-        return not np.any(self._reduce(v))
 
     def copy(self) -> "RowBasis":
         dup = RowBasis(self.field, self.cols)

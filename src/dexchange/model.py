@@ -122,13 +122,14 @@ class ProblemInstance:
             users = data["users"]
         except (KeyError, TypeError) as exc:
             raise InstanceError(f"instance document is missing key {exc}") from None
-        if not isinstance(q, int) or q < 2:
+        # type() rather than isinstance: JSON booleans are ints to Python.
+        if type(q) is not int or q < 2:
             raise InstanceError("q must be an integer >= 2")
         try:
             field = FieldSpec(q)
         except ValueError as exc:
             raise InstanceError(str(exc)) from None
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise InstanceError("N must be a positive integer")
         if not isinstance(users, list) or not users:
             raise InstanceError("users must be a non-empty list")
@@ -141,7 +142,7 @@ class ProblemInstance:
                 if not isinstance(row, list) or len(row) != n:
                     raise InstanceError(f"user {i}: rows must all have length {n}")
                 for v in row:
-                    if not isinstance(v, int) or not 0 <= v < q:
+                    if type(v) is not int or not 0 <= v < q:
                         raise InstanceError(
                             f"user {i}: entry {v!r} is outside the field range [0, {q})"
                         )
@@ -156,7 +157,11 @@ class ProblemInstance:
 
 def load_instance(path) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as f:
-        return ProblemInstance.from_json_dict(json.load(f))
+        try:
+            data = json.load(f)
+        except ValueError as exc:  # not UTF-8, or not JSON
+            raise InstanceError(f"not a JSON document: {exc}") from None
+    return ProblemInstance.from_json_dict(data)
 
 
 def save_instance(instance: ProblemInstance, path) -> None:

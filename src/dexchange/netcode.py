@@ -52,9 +52,6 @@ class RngSpec:
         seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(self.stream,))
         return np.random.Generator(np.random.Philox(seq))
 
-    def with_stream(self, stream: int) -> "RngSpec":
-        return RngSpec(self.seed, stream)
-
 
 @dataclass(frozen=True)
 class ScheduleEntry:
@@ -175,9 +172,6 @@ class ExchangeState:
     def transmit_set(self) -> list[int]:
         threshold = self.instance.n_packets - (self.beta - self.round + 1)
         return [i for i in range(self.instance.m) if self._spans[i].rank > threshold]
-
-    def span_rank(self, user: int) -> int:
-        return self._spans[user].rank
 
     def step(self, user: int, coeffs) -> ScheduleEntry:
         """Record a broadcast by ``user`` with the given combining row."""

@@ -17,8 +17,8 @@ polytope:
 The shared coordinate step ("how far can this user's rate grow") is a small
 submodular minimization.  Two interchangeable engines provide it: exact
 enumeration (:func:`sfm_minimizer`, the default) and a dual subgradient loop
-(:func:`subgradient_minimizer`) whose constant rational step keeps every
-iterate an exact integer multiple of the step, making it bit-reproducible.
+(:func:`subgradient_minimizer`) whose step and iteration count follow from
+N and m, with every iterate an exact integer multiple of the step.
 
 Per-user capacity caps plug into both solvers: capping the greedy coordinate
 values (or filtering increment candidates) optimizes over the restriction of
@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .model import CutSetOracle, dilworth_value, members, subset_sums
 from .sfm import GroundSet, min_pinned
 
-#: Discrete-derivative comparisons closer than this are treated as ties and
-#: resolved by user index.  Only the fairness cost produces irrational
-#: derivatives; its gaps in any realistic instance are far larger.
+#: Slack in the slope test of :func:`cheapest_budget`: the fairness cost
+#: sums irrational increments, so two optimal budget costs that are equal
+#: in exact arithmetic may differ by rounding.  Increments themselves are
+#: compared exactly.
 D_TIE = 1e-12
 
 
@@ -112,6 +112,8 @@ class TableCost:
         for i, d in enumerate(self.derivs):
             if not d:
                 raise ValueError(f"user {i}: empty derivative table")
+            if not all(math.isfinite(v) for v in d):
+                raise ValueError(f"user {i}: increments must be finite")
             if any(v < 0 for v in d):
                 raise ValueError(f"user {i}: negative increment")
             if any(b < a for a, b in zip(d, d[1:])):
@@ -129,12 +131,12 @@ class TableCost:
 
 
 def cheapest_increment(cost, rates, candidates) -> int:
-    """Candidate with the smallest next-unit cost; near-ties by user index."""
+    """Candidate with the smallest next-unit cost; exact ties by user index."""
     best = None
     best_d = None
     for i in candidates:
         d = cost.deriv(i, rates[i] + 1)
-        if best is None or d < best_d - D_TIE:
+        if best is None or d < best_d:
             best, best_d = i, d
     if best is None:
         raise ValueError("no candidates")
@@ -147,94 +149,35 @@ def cheapest_increment(cost, rates, candidates) -> int:
 
 def sfm_minimizer(oracle, beta, rates, ground: GroundSet) -> int:
     """Exact coordinate step via exhaustive subset enumeration."""
-    return min_pinned(oracle, beta, rates, ground)[0]
+    return min_pinned(oracle, beta, rates, ground)
 
 
-@dataclass(frozen=True)
-class SubgradientConfig:
-    """Constant-step dual subgradient parameters.
-
-    ``step`` must stay below 1/(2 N^2) and ``iterations`` above
-    m^2 / (step * (1 - 2 N^2 step)); together they force the best dual value
-    within ``tolerance`` < 1/2 of the integer optimum, so rounding is exact.
-    """
-
-    step: Fraction
-    iterations: int
-    tolerance: float = 0.49
-
-    @classmethod
-    def default(cls, m: int, n_packets: int) -> "SubgradientConfig":
-        # step = 1/(4 N^2) sits strictly inside the stability bound and
-        # makes the iteration requirement exactly 8 N^2 m^2.
-        return cls(step=Fraction(1, 4 * n_packets * n_packets), iterations=8 * n_packets**2 * m**2 + 1)
-
-    def check(self, m: int, n_packets: int) -> None:
-        theta = Fraction(self.step)
-        if not 0 < theta < Fraction(1, 2 * n_packets * n_packets):
-            raise ValueError(f"step {theta} outside (0, 1/(2N^2)) for N={n_packets}")
-        if not 0 < self.tolerance < 0.5:
-            raise ValueError("tolerance must lie in (0, 0.5)")
-        bound = Fraction(m * m) / (theta * (1 - 2 * n_packets * n_packets * theta))
-        if self.iterations <= bound:
-            raise ValueError(f"iteration cap {self.iterations} must exceed {bound}")
-
-
-def dual_maximizer(oracle, beta, pinned: int, lam: dict) -> dict[int, int]:
-    """Greedy maximizer of ``R_pinned + sum(lam[k] * R_k)`` over the pinned
-    rate region.
-
-    Elements are saturated in non-increasing multiplier order (ties by user
-    index); the pinned coordinate enters with weight 1, so it is saturated
-    first exactly when every multiplier is at most 1 and otherwise pinned to
-    zero.  Returns the maximizing rates for ``pinned`` and every key of
-    ``lam``.
-    """
-    order = sorted(lam, key=lambda k: (-lam[k], k))
-    pin_bit = 1 << pinned
-    out: dict[int, int] = {}
-    if order and lam[order[0]] > 1:
-        out[pinned] = 0
-    else:
-        out[pinned] = oracle.cut_set_f(beta, pin_bit)
-    acc = out[pinned]
-    mask = pin_bit
-    for k in order:
-        mask |= 1 << k
-        v = oracle.cut_set_f(beta, mask) - acc
-        out[k] = v
-        acc += v
-    return out
-
-
-def subgrad_coordinate(
-    oracle, beta, rates, ground: GroundSet, config: SubgradientConfig | None = None
-) -> int:
+def subgrad_coordinate(oracle, beta, rates, ground: GroundSet) -> int:
     """Coordinate step via projected dual subgradient descent.
 
-    Solves the same minimization as :func:`sfm.min_pinned` (value only) by
-    relaxing the "already-fixed rates" equalities with multipliers, walking
-    them with a constant rational step from zero, and rounding the best dual
-    value seen.  All arithmetic is exact: with a constant step and integer
-    subgradients every multiplier is an integer number of steps, so the dual
-    values are compared as scaled integers and the final rounding cannot
-    drift.  The iteration budget from the config guarantees the rounded
-    value is the exact optimum whenever the budget is a feasible sum-rate.
+    Solves the same minimization as :func:`sfm.min_pinned` by relaxing the
+    "already-fixed rates" equalities with multipliers, walking them with a
+    constant step of 1/(4 N^2) from zero, and rounding the best dual value
+    seen.  All arithmetic is exact: with integer subgradients every
+    multiplier is an integer number of steps, so the dual values are
+    compared as integers scaled by 4 N^2 and the final rounding cannot
+    drift.  Step and iteration count come from the instance alone.
     """
     inst = oracle.instance
-    cfg = config or SubgradientConfig.default(inst.m, inst.n_packets)
-    cfg.check(inst.m, inst.n_packets)
+    # The step 1/(4 N^2) lies below the stability bound 1/(2 N^2), and then
+    # 8 N^2 m^2 + 1 iterations keep the best dual value within 1/2 of the
+    # integer optimum at every feasible budget, so rounding it is exact.
+    den = 4 * inst.n_packets**2
+    iterations = 8 * inst.n_packets**2 * inst.m**2 + 1
     pin_bit = 1 << ground.pinned
     prefix = members(ground.free)
     if not prefix:
         return oracle.cut_set_f(beta, pin_bit)
-    num = cfg.step.numerator
-    den = cfg.step.denominator
     units = {k: 0 for k in prefix}  # multiplier of user k, in steps
     best_scaled = None  # best dual value seen, times den (exact int)
-    for j in range(cfg.iterations + 1):
+    for j in range(iterations + 1):
         order = sorted(prefix, key=lambda k: (-units[k], k))
-        if units[order[0]] * num > den:  # top multiplier exceeds 1
+        if units[order[0]] > den:  # top multiplier exceeds 1
             r_pin = 0
         else:
             r_pin = oracle.cut_set_f(beta, pin_bit)
@@ -248,23 +191,20 @@ def subgrad_coordinate(
             acc += v
             grad[k] = v - rates[k]
             weighted += units[k] * grad[k]
-        scaled = r_pin * den + num * weighted
+        scaled = r_pin * den + weighted
         if best_scaled is None or scaled < best_scaled:
             best_scaled = scaled
-        if j < cfg.iterations:
+        if j < iterations:
             for k in prefix:
                 units[k] = max(0, units[k] - grad[k])
     # round(best/den) with the guarantee |best/den - optimum| < 1/2
     return (2 * best_scaled + den) // (2 * den)
 
 
-def subgradient_minimizer(config: SubgradientConfig | None = None):
-    """Backend selector: a coordinate minimizer driven by the dual loop."""
-
-    def minimize(oracle, beta, rates, ground):
-        return subgrad_coordinate(oracle, beta, rates, ground, config)
-
-    return minimize
+def subgradient_minimizer():
+    """Backend selector: the dual-loop coordinate minimizer, looked up when
+    this is called so that a wrapped ``subgrad_coordinate`` is the one used."""
+    return subgrad_coordinate
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +373,7 @@ def allocate_rounds(m, beta, cost, transmit, caps=None, step=None) -> Allocation
 
     Each of the ``beta`` rounds asks ``transmit(rates)`` which users may
     send, keeps those still under their cap, records them in ``tsets``, and
-    gives the unit to the cheapest (near-ties by index), after announcing
+    gives the unit to the cheapest (ties by index), after announcing
     it to ``step(user)`` when given.  An empty eligible set raises
     :class:`Infeasible` carrying the number of completed rounds.
     """

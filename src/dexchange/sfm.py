@@ -30,15 +30,9 @@ class GroundSet:
             raise ValueError("pinned element may not appear in the free set")
 
 
-def min_pinned(
-    oracle: CutSetOracle, beta: int, rates, ground: GroundSet
-) -> tuple[int, int]:
-    """Minimize ``cut_set_f(beta, S + pinned) - sum(rates over S)`` over all
-    S inside the free set.
-
-    Returns ``(value, argmin_mask)``.  Ties resolve to the first minimum in
-    increasing bitmask order, so results are reproducible.
-    """
+def min_pinned(oracle: CutSetOracle, beta: int, rates, ground: GroundSet) -> int:
+    """Minimum of ``cut_set_f(beta, S + pinned) - sum(rates over S)`` over
+    all S inside the free set."""
     if beta < 0:
         raise ValueError("budget must be non-negative")
     pin_bit = 1 << ground.pinned
@@ -49,7 +43,6 @@ def min_pinned(
     # its members from the lowest up; their rate sums follow the same order.
     subs = subset_sums(1 << b for b in positions)
     vals = oracle.ranks[subs | pin_bit] - subset_sums(rates[b] for b in positions)
-    k = int(vals.argmin())
     # f(T) = beta - N + rank(T) for every nonempty T, the full set included,
     # because the instance's collective rank is N.
-    return beta - oracle.instance.n_packets + int(vals[k]), int(subs[k])
+    return beta - oracle.instance.n_packets + int(vals.min())

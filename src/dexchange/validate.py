@@ -29,7 +29,6 @@ from .ratealloc import (
     FairCost,
     Infeasible,
     LinearCost,
-    SubgradientConfig,
     TableCost,
     convex_alloc,
     eval_h,
@@ -351,7 +350,6 @@ def run_subgradient_agreement(instances) -> list[CheckResult]:
     results = []
     for idx, inst in enumerate(instances):
         oracle = CutSetOracle(inst)
-        cfg = SubgradientConfig.default(inst.m, inst.n_packets)
         beta_min = min_sum_rate(oracle)
         bad = None
         for beta in range(inst.n_packets + 1):
@@ -359,8 +357,8 @@ def run_subgradient_agreement(instances) -> list[CheckResult]:
             prefix = 0
             for i in range(inst.m):
                 ground = GroundSet(prefix, i)
-                exact = min_pinned(oracle, beta, rates, ground)[0]
-                dual = subgrad_coordinate(oracle, beta, rates, ground, cfg)
+                exact = min_pinned(oracle, beta, rates, ground)
+                dual = subgrad_coordinate(oracle, beta, rates, ground)
                 if exact != dual:
                     bad = {"beta": beta, "user": i, "exact": exact, "dual": dual}
                     break
@@ -374,8 +372,8 @@ def run_subgradient_agreement(instances) -> list[CheckResult]:
             # incremental allocator's membership check.
             for i in range(inst.m):
                 ground = GroundSet(inst.full_mask & ~(1 << i), i)
-                exact = min_pinned(oracle, beta, rates, ground)[0]
-                dual = subgrad_coordinate(oracle, beta, rates, ground, cfg)
+                exact = min_pinned(oracle, beta, rates, ground)
+                dual = subgrad_coordinate(oracle, beta, rates, ground)
                 if exact != dual:
                     bad = {"beta": beta, "user": i, "exact": exact, "dual": dual, "where": "headroom"}
                     break

@@ -391,3 +391,47 @@ def test_schedule_with_out_of_range_sender_exits_1(instance_file, tmp_path, caps
     assert code == 1
     assert report is None
     assert "bad schedule" in err and "sender -3" in err
+
+
+@pytest.mark.parametrize("blob", [b"not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
+@pytest.mark.parametrize("cmd", ["solve", "verify"])
+def test_instance_file_that_is_not_json_exits_1(tmp_path, capsys, cmd, blob):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(blob)
+    argv = [cmd, str(bad)] + ([str(tmp_path / "sched.json")] if cmd == "verify" else [])
+    code, report, err = run(capsys, *argv)
+    assert code == 1
+    assert report is None
+    assert "bad instance file" in err
+
+
+@pytest.mark.parametrize(
+    "tables",
+    ["[[NaN, 1], [1, 1], [1, 1]]", "[[1, Infinity], [1], [1]]", "[[1, 1]]", "[1, 2, 3]"],
+    ids=["nan", "inf", "too-few-tables", "not-tables"],
+)
+def test_solve_rejects_bad_table_file(instance_file, tmp_path, capsys, tables):
+    table = tmp_path / "cost.json"
+    table.write_text(tables)
+    code, report, err = run(capsys, "solve", instance_file, "--cost", "table", "--table", str(table))
+    assert code == 1
+    assert report is None
+    assert "bad table file" in err
+
+
+@pytest.mark.parametrize("retries", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{instance}", "--cost", "fair", "--backend", "randomized"],
+        ["code", "{instance}", "--rates", "1,1,3", "--out", "{out}"],
+    ],
+    ids=["solve", "code"],
+)
+def test_max_retries_below_one_exits_1(instance_file, tmp_path, capsys, argv, retries):
+    out = str(tmp_path / "sched.json")
+    argv = [a.format(instance=instance_file, out=out) for a in argv]
+    code, report, err = run(capsys, *argv, "--max-retries", retries)
+    assert code == 1
+    assert report is None
+    assert "--max-retries must be at least 1" in err

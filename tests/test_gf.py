@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexchange.gf import (
-    DivisionByZero,
     FieldSpec,
     FMatrix,
     RowBasis,
@@ -23,22 +22,6 @@ def test_field_spec_rejects_composite_order():
         FieldSpec(6)
     with pytest.raises(ValueError):
         FieldSpec(1)
-
-
-def test_scalar_ops():
-    assert FieldSpec(7).inv(2) == 4
-
-
-def test_inverse_of_zero_raises():
-    with pytest.raises(DivisionByZero):
-        FieldSpec(5).inv(0)
-
-
-@pytest.mark.parametrize("p", SMALL_PRIMES)
-def test_field_axioms_exhaustive(p):
-    f = FieldSpec(p)
-    for a in range(1, p):
-        assert a * f.inv(a) % p == 1
 
 
 def test_matrix_validation():
@@ -60,7 +43,7 @@ def test_empty_matrix_rank_is_zero():
 
 
 def test_identity_full_rank():
-    assert rank(FMatrix.identity(FieldSpec(5), 3)) == 3
+    assert rank(FMatrix(FieldSpec(5), np.eye(3, dtype=np.int64))) == 3
 
 
 def test_rank_dependent_rows():
@@ -70,7 +53,7 @@ def test_rank_dependent_rows():
 
 def test_solve_identity():
     f = FieldSpec(5)
-    w = solve_full_rank(FMatrix.identity(f, 3), [1, 2, 3])
+    w = solve_full_rank(FMatrix(f, np.eye(3, dtype=np.int64)), [1, 2, 3])
     assert list(w) == [1, 2, 3]
 
 
@@ -164,7 +147,6 @@ def test_row_basis_incremental_matches_batch_rank():
             expected = rank(FMatrix(f, a[: i + 1]))
             assert basis.rank == expected
             assert grew == (expected == before + 1)
-        assert basis.contains(a[0])
         # The same rows in two batches reach the same rank.
         batched = RowBasis(f, 4, a[:3])
         assert batched.extend(a[3:]) == basis.rank - rank(FMatrix(f, a[:3]))

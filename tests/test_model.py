@@ -147,6 +147,55 @@ def test_loader_rejects_bad_documents(tmp_path):
     with pytest.raises(InstanceError, match="prime"):
         load_instance(dump(doc))
 
+    # JSON booleans are ints to Python, but not to the loader.
+    with pytest.raises(InstanceError, match="N must be"):
+        load_instance(dump({"q": 5, "N": True, "users": [{"rows": [[True]]}]}))
+    with pytest.raises(InstanceError, match="field range"):
+        load_instance(dump({"q": 5, "N": 1, "users": [{"rows": [[True]]}]}))
+
+    # A prime far above the modulus cap is rejected without trial division.
+    doc = json.loads(json.dumps(base))
+    doc["q"] = (1 << 61) - 1
+    with pytest.raises(InstanceError, match="maximum"):
+        load_instance(dump(doc))
+
+    path = tmp_path / "bad.json"
+    for blob in (b"not json", b"\xff\xfe{}"):
+        path.write_bytes(blob)
+        with pytest.raises(InstanceError, match="not a JSON document"):
+            load_instance(path)
+
+
+DEMO_DOC = preset_instance("example1").to_json_dict()
+ODD_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.integers(-(1 << 70), 1 << 70),
+)
+
+
+@given(st.data(), ODD_VALUES)
+@settings(max_examples=200, deadline=None)
+def test_instance_loader_over_field_mutations(data, value):
+    # One entry, N or q of the demo document replaced by a boolean, float,
+    # string or arbitrary int: the document loads or raises InstanceError,
+    # and it loads only if the new value is a plain int.
+    doc = json.loads(json.dumps(DEMO_DOC))
+    where = data.draw(st.sampled_from(("q", "N", "entry")))
+    if where == "entry":
+        users = doc["users"]
+        rows = users[data.draw(st.integers(0, len(users) - 1))]["rows"]
+        row = rows[data.draw(st.integers(0, len(rows) - 1))]
+        row[data.draw(st.integers(0, len(row) - 1))] = value
+    else:
+        doc[where] = value
+    try:
+        ProblemInstance.from_json_dict(doc)
+    except InstanceError:
+        return
+    assert type(value) is int
+
 
 def test_generate_raw_matches_reference_layout():
     inst = instance_from_packet_sets(

@@ -1,6 +1,5 @@
 import itertools
 import math
-from fractions import Fraction
 
 import pytest
 
@@ -10,12 +9,10 @@ from dexchange.ratealloc import (
     FairCost,
     Infeasible,
     LinearCost,
-    SubgradientConfig,
     TableCost,
     allocate_rounds,
     cheapest_increment,
     convex_alloc,
-    dual_maximizer,
     eval_h,
     headrooms,
     increment_headroom,
@@ -54,6 +51,9 @@ def test_table_cost_validation_and_tail():
         TableCost([(2, 1)])  # decreasing
     with pytest.raises(ValueError):
         TableCost([(-1,)])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            TableCost([(bad, 1)])
     c = TableCost([(1, 3)])
     assert c.value(0, 1) == 1
     assert c.value(0, 2) == 4
@@ -65,6 +65,9 @@ def test_cheapest_increment_tie_by_index():
     c = FairCost()
     assert cheapest_increment(c, [0, 0, 0], [1, 2]) == 1
     assert cheapest_increment(c, [1, 0, 1], [0, 1, 2]) == 1
+    # Increments are compared exactly: a gap far below any float tolerance
+    # still decides, and only an exact tie falls back to the user index.
+    assert cheapest_increment(TableCost([[1.0 + 1e-13], [1.0]]), [0, 0], [0, 1]) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -284,115 +287,31 @@ def test_h_is_convex_on_feasible_budgets(demo_oracle):
 # Dual subgradient backend
 
 
-def test_subgradient_config_defaults():
-    cfg = SubgradientConfig.default(3, 6)
-    assert cfg.step == Fraction(1, 144)
-    assert cfg.iterations == 8 * 36 * 9 + 1
-    cfg.check(3, 6)
-
-
-def test_subgradient_config_validation():
-    with pytest.raises(ValueError):
-        SubgradientConfig(Fraction(1, 2), 10_000).check(3, 6)  # step too large
-    with pytest.raises(ValueError):
-        SubgradientConfig(Fraction(1, 144), 100).check(3, 6)  # too few iterations
-    with pytest.raises(ValueError):
-        SubgradientConfig(Fraction(1, 144), 3000, tolerance=0.7).check(3, 6)
-
-
 def test_subgradient_worked_coordinates(demo_oracle):
-    cfg = SubgradientConfig.default(3, 6)
-    assert subgrad_coordinate(demo_oracle, 5, (0, 0, 0), GroundSet(0, 0), cfg) == 1
-    assert subgrad_coordinate(demo_oracle, 5, (1, 0, 0), GroundSet(0b001, 2), cfg) == 3
-    assert subgrad_coordinate(demo_oracle, 5, (1, 0, 3), GroundSet(0b101, 1), cfg) == 1
+    assert subgrad_coordinate(demo_oracle, 5, (0, 0, 0), GroundSet(0, 0)) == 1
+    assert subgrad_coordinate(demo_oracle, 5, (1, 0, 0), GroundSet(0b001, 2)) == 3
+    assert subgrad_coordinate(demo_oracle, 5, (1, 0, 3), GroundSet(0b101, 1)) == 1
 
 
 def test_subgradient_agrees_with_enumeration_everywhere(demo_oracle):
-    cfg = SubgradientConfig.default(3, 6)
     for beta in range(0, 7):
         rates = [0, 0, 0]
         prefix = 0
         for i in range(3):
             ground = GroundSet(prefix, i)
-            exact = min_pinned(demo_oracle, beta, rates, ground)[0]
-            assert subgrad_coordinate(demo_oracle, beta, rates, ground, cfg) == exact
+            exact = min_pinned(demo_oracle, beta, rates, ground)
+            assert subgrad_coordinate(demo_oracle, beta, rates, ground) == exact
             rates[i] = exact
             prefix |= 1 << i
 
 
 def test_subgradient_backend_drives_full_solvers(demo_oracle):
     minimizer = subgradient_minimizer()
+    assert minimizer is subgrad_coordinate
     assert min_sum_rate(demo_oracle, minimizer=minimizer) == 5
     assert modified_edmonds(demo_oracle, 5, (1, 3, 2), minimizer=minimizer).rates == (1, 1, 3)
     alloc = convex_alloc(demo_oracle, 5, FairCost(), minimizer=minimizer)
     assert alloc.rates == (1, 2, 2)
-
-
-# ---------------------------------------------------------------------------
-# Dual maximizer
-
-
-def test_dual_maximizer_zero_multipliers(demo_oracle):
-    # All multipliers at zero: the pinned coordinate saturates first.
-    got = dual_maximizer(demo_oracle, 5, 1, {0: 0, 2: 0})
-    assert got[1] == demo_oracle.cut_set_f(5, 0b010) == 3
-    assert sum(got.values()) == 5
-
-
-def test_dual_maximizer_large_multiplier_pins_to_zero(demo_oracle):
-    got = dual_maximizer(demo_oracle, 5, 1, {0: 2, 2: 0})
-    assert got[1] == 0
-
-
-def test_dual_maximizer_empty_prefix(demo_oracle):
-    assert dual_maximizer(demo_oracle, 5, 0, {}) == {0: 1}
-
-
-def _vertex_objective_max(oracle, beta, pinned, lam):
-    """Best objective over all greedy vertices of the pinned region."""
-    users = sorted(lam) + [pinned]
-    pin_bit = 1 << pinned
-    best = None
-    for order in itertools.permutations(users):
-        mask = 0
-        acc = 0
-        vec = {}
-        for u in order:
-            mask |= 1 << u
-            y = oracle.cut_set_f(beta, mask | pin_bit)
-            vec[u] = y - acc
-            acc = y
-        obj = vec[pinned] + sum(lam[k] * vec[k] for k in lam)
-        if best is None or obj > best:
-            best = obj
-    return best
-
-
-@pytest.mark.parametrize(
-    "lam",
-    [
-        {0: 0, 2: 0},
-        {0: 2, 2: 0},
-        {0: Fraction(1, 2), 2: Fraction(3, 2)},
-        {0: 1, 2: 1},
-    ],
-)
-def test_dual_maximizer_attains_vertex_maximum(demo_oracle, lam):
-    for beta in (3, 5, 6):
-        got = dual_maximizer(demo_oracle, beta, 1, lam)
-        obj = got[1] + sum(lam[k] * got[k] for k in lam)
-        assert obj == _vertex_objective_max(demo_oracle, beta, 1, lam)
-
-
-def test_dual_maximizer_vertex_maximum_on_random_instances():
-    for seed in range(4):
-        inst = generate_instance("coded", 4, 5, FieldSpec(5), seed=seed)
-        oracle = CutSetOracle(inst)
-        for lam in ({0: 0, 1: 0, 3: 0}, {0: 3, 1: Fraction(1, 3), 3: 1}):
-            for beta in (2, 4, 5):
-                got = dual_maximizer(oracle, beta, 2, lam)
-                obj = got[2] + sum(lam[k] * got[k] for k in lam)
-                assert obj == _vertex_objective_max(oracle, beta, 2, lam)
 
 
 # ---------------------------------------------------------------------------
