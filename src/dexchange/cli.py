@@ -36,6 +36,7 @@ from .netcode import (
     InfeasibleRates,
     NotDecodable,
     RngSpec,
+    TransmissionSchedule,
     construct_code,
     decode,
     load_schedule,
@@ -106,6 +107,17 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _at_least(low: int):
+    """argparse ``type=`` for integers no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+
+    return integer
+
+
 def _write(save, obj, path) -> None:
     try:
         save(obj, path)
@@ -120,6 +132,15 @@ def _load(path: str) -> ProblemInstance:
         raise SystemExit(f"cannot read instance: {exc}")
     except InstanceError as exc:
         raise SystemExit(f"bad instance file: {exc}")
+
+
+def _load_schedule(path: str, inst: ProblemInstance) -> TransmissionSchedule:
+    try:
+        schedule = load_schedule(path)
+        schedule.validate_against(inst)
+    except (OSError, ValueError) as exc:
+        raise SystemExit(f"bad schedule: {exc}")
+    return schedule
 
 
 def _cost_from_args(args, m: int):
@@ -239,7 +260,7 @@ def _solve_randomized(oracle, cost, caps, args) -> dict:
     """Randomized run at --beta, or a budget search over randomized runs.
 
     h(beta) is the cost of the first of --max-retries attempts at ``beta``
-    that completes all rounds and verifies decodable, and infinite when
+    that completes all rounds with every user decoding, and infinite when
     none does; small fields make that spurious with probability decaying in
     the attempt count.  Each (beta, attempt) pair draws from its own stream,
     so --beta B reproduces the schedule the search found at B.
@@ -253,10 +274,10 @@ def _solve_randomized(oracle, cost, caps, args) -> dict:
             for attempt in range(args.max_retries):
                 rng = RngSpec(args.seed, _stream(beta, attempt))
                 try:
-                    alloc, schedule = randomized_alloc(oracle, beta, cost, caps, rng)
+                    alloc, schedule, report = randomized_alloc(oracle, beta, cost, caps, rng)
                 except Infeasible:
                     continue
-                if verify_decodable(inst, schedule).all_ok:
+                if report.all_ok:
                     runs[beta] = alloc, schedule
                     break
         got = runs[beta]
@@ -336,11 +357,7 @@ def cmd_code(args) -> int:
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
     inst = _load(args.instance)
-    try:
-        schedule = load_schedule(args.schedule)
-        schedule.validate_against(inst)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"bad schedule: {exc}")
+    schedule = _load_schedule(args.schedule, inst)
     report = verify_decodable(inst, schedule)
     payload = {
         "per_user": list(report.per_user),
@@ -356,11 +373,9 @@ def cmd_verify(args) -> int:
 def cmd_decode(args) -> int:
     t0 = time.perf_counter()
     inst = _load(args.instance)
-    try:
-        schedule = load_schedule(args.schedule)
-        schedule.validate_against(inst)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"bad schedule: {exc}")
+    if not 0 <= args.user < inst.m:
+        raise SystemExit(f"--user must lie in [0, {inst.m})")
+    schedule = _load_schedule(args.schedule, inst)
     if args.truth:
         try:
             with open(args.truth, "r", encoding="utf-8") as f:
@@ -397,8 +412,17 @@ def cmd_decode(args) -> int:
     return EXIT_OK if match else EXIT_DECODE
 
 
+def _save_failures(failures, path) -> None:
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(failures, f, indent=1, default=str)
+
+
 def cmd_validate(args) -> int:
     t0 = time.perf_counter()
+    try:
+        FieldSpec(args.q)
+    except ValueError as exc:
+        raise SystemExit(f"bad --q: {exc}")
     results = []
     if args.suite in ("properties", "all"):
         results += run_properties(args.trials, args.seed, args.max_m, args.max_n)
@@ -414,8 +438,7 @@ def cmd_validate(args) -> int:
     report = _report("validate", payload, seed=args.seed, t0=t0)
     _emit(report, f"{len(results) - len(failures)}/{len(results)} checks passed")
     if failures:
-        with open(args.artifact, "w", encoding="utf-8") as f:
-            json.dump(payload["failures"], f, indent=1, default=str)
+        _write(_save_failures, payload["failures"], args.artifact)
         print(f"counterexamples written to {args.artifact}", file=sys.stderr)
         return EXIT_PROPERTY
     return EXIT_OK
@@ -436,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--n", type=int, help="packet count")
     g.add_argument("--q", type=int, default=257, help="field order (prime)")
     g.add_argument("--rows", type=_parse_ints, help="per-user row counts, comma separated")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_at_least(0), default=0)
     g.add_argument("--out", "-o", help="output path (default: stdout)")
     g.set_defaults(func=cmd_gen)
 
@@ -448,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--beta", type=int, help="fixed total budget (default: optimize)")
     s.add_argument("--caps", type=_parse_ints, help="per-user transmission caps")
     s.add_argument("--backend", choices=("sfm", "subgradient", "randomized"), default="sfm")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=_at_least(0), default=0)
     s.add_argument("--max-retries", type=int, default=8, help="randomized attempts per budget")
     s.add_argument("--schedule-out", help="write the randomized schedule here")
     s.set_defaults(func=cmd_solve)
@@ -456,8 +479,8 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("code", help="construct a decodable schedule for given rates")
     c.add_argument("instance")
     c.add_argument("--rates", type=_parse_ints, required=True)
-    c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--stream", type=int, default=0)
+    c.add_argument("--seed", type=_at_least(0), default=0)
+    c.add_argument("--stream", type=_at_least(0), default=0)
     c.add_argument("--max-retries", type=int, default=64)
     c.add_argument("--out", "-o", default="schedule.json")
     c.set_defaults(func=cmd_code)
@@ -472,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     d.add_argument("schedule")
     d.add_argument("--user", type=int, required=True)
     d.add_argument("--truth", help="JSON list of the true packets")
-    d.add_argument("--seed", type=int, default=0, help="seed for the demo packet vector")
+    d.add_argument("--seed", type=_at_least(0), default=0, help="seed for the demo packet vector")
     d.set_defaults(func=cmd_decode)
 
     w = sub.add_parser("validate", help="run the cross-check suites")
@@ -481,10 +504,10 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("properties", "paper-examples", "rlnc", "all"),
         default="all",
     )
-    w.add_argument("--max-m", type=int, default=4)
-    w.add_argument("--max-n", type=int, default=6)
-    w.add_argument("--trials", type=int, default=50, help="suite instances or Monte-Carlo trials")
-    w.add_argument("--seed", type=int, default=0)
+    w.add_argument("--max-m", type=_at_least(2), default=4)
+    w.add_argument("--max-n", type=_at_least(2), default=6)
+    w.add_argument("--trials", type=_at_least(1), default=50, help="suite instances or Monte-Carlo trials")
+    w.add_argument("--seed", type=_at_least(0), default=0)
     w.add_argument("--q", type=int, default=19, help="field order for the rlnc suite")
     w.add_argument("--artifact", default="validate_failure.json")
     w.set_defaults(func=cmd_validate)
@@ -492,15 +515,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as "infeasible".
         if isinstance(exc.code, str):
             print(exc.code, file=sys.stderr)
-            return EXIT_USAGE
-        raise
+        return EXIT_OK if exc.code == 0 else EXIT_USAGE
 
 
 def entry() -> None:

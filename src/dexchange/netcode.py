@@ -146,14 +146,20 @@ def save_schedule(schedule: TransmissionSchedule, path) -> None:
         f.write("\n")
 
 
+@dataclass(frozen=True)
+class DecodeReport:
+    per_user: tuple[bool, ...]
+    all_ok: bool
+
+
 class ExchangeState:
     """Round-by-round exchange state with incremental rank tracking.
 
     Keeps one reduced row basis per user (their observation rows plus every
-    broadcast row so far), so the per-round transmit set comes from rank
-    lookups instead of re-eliminating stacks.  The rank test says: a user may
-    transmit while its current span, given the rounds still remaining, can
-    still reach full rank.
+    broadcast row so far), so the per-round transmit set and the decode
+    report come from rank lookups instead of re-eliminating stacks.  A user
+    may transmit while its span, given the rounds still remaining, can still
+    reach full rank.
     """
 
     def __init__(self, instance: ProblemInstance, beta: int):
@@ -162,7 +168,6 @@ class ExchangeState:
         self.instance = instance
         self.beta = beta
         self.round = 1
-        self.rates = [0] * instance.m
         self.entries: list[ScheduleEntry] = []
         self._spans = [
             RowBasis(instance.field, instance.n_packets, obs.array)
@@ -186,22 +191,26 @@ class ExchangeState:
         )
         for span in self._spans:
             span.add(u)
-        self.rates[user] += 1
         self.entries.append(entry)
         self.round += 1
         return entry
 
+    def report(self) -> DecodeReport:
+        """Decodability so far: a user decodes once its span is the packet space."""
+        flags = tuple(span.rank == self.instance.n_packets for span in self._spans)
+        return DecodeReport(flags, all(flags))
+
 
 def randomized_alloc(
     oracle: CutSetOracle, beta, cost, caps=None, rng: RngSpec = RngSpec(0)
-) -> tuple[Allocation, TransmissionSchedule]:
+) -> tuple[Allocation, TransmissionSchedule, DecodeReport]:
     """Allocate ``beta`` units with random transmissions generated as it goes.
 
     Runs :func:`ratealloc.allocate_rounds` with the rank-based transmit set
     in place of the polyhedral check; the cheapest eligible user broadcasts
-    a fresh uniform combination of its rows.  The returned schedule is not
-    verified here: decodability of the draws is a separate check
-    (:func:`verify_decodable`), failing with probability at most
+    a fresh uniform combination of its rows.  The report says which users
+    decode the drawn schedule, read off the per-user bases the run keeps; a
+    completed run fails to decode with probability at most
     ``1 - (1 - m/q)^beta``.
     """
     inst = oracle.instance
@@ -214,13 +223,7 @@ def randomized_alloc(
 
     alloc = allocate_rounds(inst.m, beta, cost, lambda rates: state.transmit_set(), caps, broadcast)
     schedule = TransmissionSchedule(inst.field.p, inst.n_packets, tuple(state.entries), rng)
-    return alloc, schedule
-
-
-@dataclass(frozen=True)
-class DecodeReport:
-    per_user: tuple[bool, ...]
-    all_ok: bool
+    return alloc, schedule, state.report()
 
 
 def verify_decodable(instance: ProblemInstance, schedule: TransmissionSchedule) -> DecodeReport:
@@ -250,8 +253,8 @@ def construct_code(
 
     Rejects rate vectors outside the cut-set region; above MAX_TABLE_USERS
     users there is no rank table and that check is skipped.  Draws all
-    combining rows uniformly, accepts the first draw that passes
-    :func:`verify_decodable`, and raises
+    combining rows uniformly through an :class:`ExchangeState`, sender by
+    sender, accepts the first draw every user decodes, and raises
     :class:`ConstructionFailed` once the retry budget is spent; that points
     at a field too small for the user count.
     """
@@ -262,26 +265,13 @@ def construct_code(
         raise InfeasibleRates(f"rates {rates} violate a cut-set bound")
     gen = rng.generator()
     p = instance.field.p
-    for attempt in range(1, max_retries + 1):
-        entries = []
-        rnd = 1
+    for _ in range(max_retries):
+        state = ExchangeState(instance, sum(rates))
         for user, count in enumerate(rates):
-            obs = instance.observations[user]
             for _ in range(count):
-                coeffs = gen.integers(0, p, size=obs.rows)
-                combo = obs.combine_rows(coeffs)
-                entries.append(
-                    ScheduleEntry(
-                        round=rnd,
-                        user=user,
-                        coeffs=tuple(int(v) for v in coeffs),
-                        combo=tuple(int(v) for v in combo),
-                    )
-                )
-                rnd += 1
-        schedule = TransmissionSchedule(p, instance.n_packets, tuple(entries), rng)
-        if verify_decodable(instance, schedule).all_ok:
-            return schedule
+                state.step(user, gen.integers(0, p, size=instance.observations[user].rows))
+        if state.report().all_ok:
+            return TransmissionSchedule(p, instance.n_packets, tuple(state.entries), rng)
     raise ConstructionFailed(
         f"no decodable draw in {max_retries} attempts; consider a larger field",
         attempts=max_retries,

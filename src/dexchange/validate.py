@@ -24,7 +24,7 @@ from .model import (
     members,
     preset_instance,
 )
-from .netcode import RngSpec, randomized_alloc, verify_decodable
+from .netcode import RngSpec, randomized_alloc
 from .ratealloc import (
     FairCost,
     Infeasible,
@@ -392,10 +392,10 @@ def run_rlnc_stats(q=19, trials=1000, seed=0) -> CheckResult:
     decoded = 0
     for stream in range(trials):
         try:
-            _, schedule = randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed, stream))
+            _, _, report = randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed, stream))
         except Infeasible:
             continue
-        decoded += verify_decodable(inst, schedule).all_ok
+        decoded += report.all_ok
     rate = decoded / trials
     p0 = (1 - inst.m / q) ** beta
     sigma = math.sqrt(p0 * (1 - p0) / trials)

@@ -435,3 +435,87 @@ def test_max_retries_below_one_exits_1(instance_file, tmp_path, capsys, argv, re
     assert code == 1
     assert report is None
     assert "--max-retries must be at least 1" in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["solve"], 1),
+        (["solve", "{instance}", "--cost", "bogus"], 1),
+        (["solve", "{instance}", "--beta", "x"], 1),
+        (["decode", "{instance}", "s.json"], 1),
+        (["frobnicate"], 1),
+        (["--version"], 0),
+    ],
+    ids=["missing-instance", "bad-choice", "bad-int", "missing-user", "bad-command", "version"],
+)
+def test_argparse_exits_keep_the_exit_code_contract(instance_file, capsys, argv, expected):
+    # argparse itself exits 2, which the contract reserves for infeasibility.
+    code = main([a.format(instance=instance_file) for a in argv])
+    out, err = capsys.readouterr()
+    assert code == expected
+    if expected:
+        assert "error:" in err
+    else:
+        assert out.startswith("dexchange ")
+
+
+@pytest.mark.parametrize("user", ["99", "-1"])
+def test_decode_user_out_of_range_exits_1(instance_file, tmp_path, capsys, user):
+    sched = tmp_path / "sched.json"
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", str(sched))[0] == 0
+    code, report, err = run(capsys, "decode", instance_file, str(sched), "--user", user)
+    assert code == 1
+    assert report is None
+    assert "--user must lie in [0, 3)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--preset", "example1", "--seed", "-1"],
+        ["solve", "{instance}", "--cost", "fair", "--backend", "randomized", "--seed", "-1"],
+        ["code", "{instance}", "--rates", "1,1,3", "--seed", "-5", "--out", "{sched}"],
+        ["code", "{instance}", "--rates", "1,1,3", "--stream", "-1", "--out", "{sched}"],
+        ["decode", "{instance}", "{sched}", "--user", "0", "--seed", "-3"],
+        ["validate", "--suite", "paper-examples", "--seed", "-1"],
+    ],
+    ids=["gen", "solve", "code-seed", "code-stream", "decode", "validate"],
+)
+def test_negative_seed_or_stream_exits_1(instance_file, tmp_path, capsys, argv):
+    sched = str(tmp_path / "sched.json")
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", sched)[0] == 0
+    code, report, err = run(capsys, *(a.format(instance=instance_file, sched=sched) for a in argv))
+    assert code == 1
+    assert report is None
+    assert "must be at least 0" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--suite", "rlnc", "--trials", "0"], "argument --trials: must be at least 1"),
+        (["--suite", "properties", "--trials", "0"], "argument --trials: must be at least 1"),
+        (["--max-m", "1"], "argument --max-m: must be at least 2"),
+        (["--max-n", "1"], "argument --max-n: must be at least 2"),
+        (["--suite", "rlnc", "--q", "4"], "bad --q: field order 4 is not prime"),
+    ],
+)
+def test_validate_rejects_out_of_range_options(capsys, argv, message):
+    code, report, err = run(capsys, "validate", *argv)
+    assert code == 1
+    assert report is None
+    assert message in err
+
+
+def test_validate_unwritable_artifact_exits_1(tmp_path, capsys, monkeypatch):
+    import dexchange.cli as cli
+    from dexchange.validate import CheckResult
+
+    monkeypatch.setattr(
+        cli, "run_reference_examples", lambda: [CheckResult("forced", False, {"why": "test"})]
+    )
+    artifact = str(tmp_path / "missing" / "failures.json")
+    code, _, err = run(capsys, "validate", "--suite", "paper-examples", "--artifact", artifact)
+    assert code == 1
+    assert "cannot write output" in err

@@ -62,8 +62,8 @@ def test_exchange_state_replays_reference_trace(demo19):
         assert user in tset
         state.step(user, coeffs)
     assert seen_tsets == [(0, 1, 2), (1, 2), (1, 2), (1, 2), (1, 2)]
-    assert state.rates == [1, 2, 2]
     schedule = TransmissionSchedule(19, 6, tuple(state.entries))
+    assert schedule.counts(3) == (1, 2, 2)
     assert [e.combo for e in schedule.entries] == REFERENCE_COMBOS
     assert verify_decodable(demo19, schedule).all_ok
 
@@ -82,7 +82,7 @@ def test_reference_trace_decodes_synthetic_file(demo19):
 
 def test_randomized_alloc_reference_budget(demo):
     oracle = CutSetOracle(demo)
-    alloc, schedule = randomized_alloc(oracle, 5, FairCost(), rng=RngSpec(0))
+    alloc, schedule, _ = randomized_alloc(oracle, 5, FairCost(), rng=RngSpec(0))
     assert alloc.rates == (1, 2, 2)
     assert schedule.counts(3) == (1, 2, 2)
     assert alloc.tsets[0] == (0, 1, 2)
@@ -99,7 +99,7 @@ def test_randomized_alloc_infeasible_budget_stops_early(demo):
 def test_randomized_alloc_single_user_zero_budget():
     inst = generate_instance("coded", 1, 2, FieldSpec(257), coverage=(2,), seed=0)
     oracle = CutSetOracle(inst)
-    alloc, schedule = randomized_alloc(oracle, 0, FairCost(), rng=RngSpec(0))
+    alloc, schedule, _ = randomized_alloc(oracle, 0, FairCost(), rng=RngSpec(0))
     assert alloc.rates == (0,)
     assert schedule.entries == ()
     assert verify_decodable(inst, schedule).all_ok
@@ -107,15 +107,34 @@ def test_randomized_alloc_single_user_zero_budget():
 
 def test_randomized_alloc_respects_caps(demo):
     oracle = CutSetOracle(demo)
-    alloc, _ = randomized_alloc(oracle, 5, LinearCost((1, 3, 2)), caps=(2, 2, 2), rng=RngSpec(1))
+    alloc, _, _ = randomized_alloc(oracle, 5, LinearCost((1, 3, 2)), caps=(2, 2, 2), rng=RngSpec(1))
     assert alloc.rates == (1, 2, 2)
 
 
 def test_randomized_alloc_is_deterministic(demo):
     oracle = CutSetOracle(demo)
-    a1, s1 = randomized_alloc(oracle, 5, FairCost(), rng=RngSpec(3, 1))
-    a2, s2 = randomized_alloc(oracle, 5, FairCost(), rng=RngSpec(3, 1))
+    a1, s1, _ = randomized_alloc(oracle, 5, FairCost(), rng=RngSpec(3, 1))
+    a2, s2, _ = randomized_alloc(oracle, 5, FairCost(), rng=RngSpec(3, 1))
     assert a1 == a2 and s1.entries == s2.entries
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 17])
+def test_randomized_alloc_report_matches_verify_decodable(q):
+    from dexchange.ratealloc import min_sum_rate
+
+    outcomes = set()
+    for inst_seed in range(4):
+        inst = generate_instance("coded", 4, 5, FieldSpec(q), seed=inst_seed)
+        oracle = CutSetOracle(inst)
+        beta = min_sum_rate(oracle)
+        for seed in range(8):
+            try:
+                _, schedule, report = randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed))
+            except Infeasible:
+                continue
+            assert report == verify_decodable(inst, schedule)
+            outcomes.add(report.all_ok)
+    assert outcomes == {True, False}
 
 
 def _check_rank_vs_polyhedral(inst, beta, seed, require_equality):
@@ -124,7 +143,7 @@ def _check_rank_vs_polyhedral(inst, beta, seed, require_equality):
     # in general position and the two sets coincide round for round.
     oracle = CutSetOracle(inst)
     try:
-        alloc, schedule = randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed))
+        alloc, schedule, _ = randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed))
     except Infeasible:
         return
     rates = [0] * inst.m
@@ -207,6 +226,43 @@ def test_construct_code_round_trip(demo):
     for user in range(3):
         got = decode(demo, user, schedule, demo.observe(user, w), received)
         assert list(got) == list(w)
+
+
+def _reference_construct(instance, rates, rng, max_retries=64):
+    # Draw-and-verify loop: one generator for all attempts, user by user,
+    # one uniform combining row per broadcast; None when every draw fails.
+    # On GF(2) and GF(3) the seeds below take up to 20 attempts.
+    gen = rng.generator()
+    p = instance.field.p
+    for _ in range(max_retries):
+        entries = []
+        for user, count in enumerate(rates):
+            obs = instance.observations[user]
+            for _ in range(count):
+                coeffs = gen.integers(0, p, size=obs.rows)
+                combo = obs.combine_rows(coeffs)
+                entries.append(
+                    ScheduleEntry(
+                        round=len(entries) + 1,
+                        user=user,
+                        coeffs=tuple(int(v) for v in coeffs),
+                        combo=tuple(int(v) for v in combo),
+                    )
+                )
+        schedule = TransmissionSchedule(p, instance.n_packets, tuple(entries), rng)
+        if verify_decodable(instance, schedule).all_ok:
+            return schedule
+    return None
+
+
+@pytest.mark.parametrize("q", [2, 3, 17])
+def test_construct_code_matches_draw_and_verify_reference(q):
+    inst = preset_instance("example1", q=q)
+    for seed in range(8):
+        rng = RngSpec(seed, 2)
+        expected = _reference_construct(inst, (1, 1, 3), rng)
+        assert expected is not None
+        assert construct_code(inst, (1, 1, 3), rng).to_json_dict() == expected.to_json_dict()
 
 
 def test_construct_code_rejects_rates_outside_region(demo):
