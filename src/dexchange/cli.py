@@ -9,6 +9,7 @@ construction failed, 4 not decodable, 5 property violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -290,8 +291,12 @@ def _solve_randomized(oracle, cost, caps, args) -> dict:
                 f"no decodable run at budget {beta} after {args.max_retries} attempts", beta=beta
             )
     else:
+        # Budgets below the cut-set floor cannot decode, so they fail without
+        # a draw; the probe sequence, and so every output, stays the same.
+        floor = inst.sum_rate_floor()
         hi = budget_ceiling(inst.n_packets, caps)
-        beta = cheapest_budget(h, first_feasible(lambda b: h(b) < math.inf, hi), hi)
+        lo = first_feasible(lambda b: b >= floor and h(b) < math.inf, hi)
+        beta = cheapest_budget(h, lo, hi)
     alloc, schedule = runs[beta]
     if args.schedule_out:
         _write(save_schedule, schedule, args.schedule_out)
@@ -379,11 +384,15 @@ def cmd_decode(args) -> int:
     if args.truth:
         try:
             with open(args.truth, "r", encoding="utf-8") as f:
-                w = np.asarray(json.load(f), dtype=np.int64)
+                truth = json.load(f)
         except (OSError, ValueError) as exc:
             raise SystemExit(f"bad truth file: {exc}")
-        if w.shape != (inst.n_packets,):
+        if not isinstance(truth, list) or len(truth) != inst.n_packets:
             raise SystemExit(f"truth must list {inst.n_packets} packets")
+        # type() rather than isinstance: JSON booleans are ints to Python.
+        if any(type(v) is not int or not 0 <= v < inst.field.p for v in truth):
+            raise SystemExit(f"bad truth file: packets must be integers in [0, {inst.field.p})")
+        w = np.asarray(truth, dtype=np.int64)
     else:
         # Demo mode: decode a seeded synthetic file and report the round trip.
         w = np.asarray(
@@ -399,7 +408,7 @@ def cmd_decode(args) -> int:
             f"user {args.user}: {exc}",
         )
         return EXIT_DECODE
-    match = bool(np.array_equal(recovered, w % inst.field.p))
+    match = bool(np.array_equal(recovered, w))
     payload = {
         "user": args.user,
         "packets": [int(v) for v in recovered],
@@ -444,7 +453,10 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process; ``parse_args`` returns a fresh
+    namespace on every call, so nothing carries over between calls."""
     parser = argparse.ArgumentParser(
         prog="dexchange",
         description="Cooperative data exchange solver and coded-schedule toolkit",

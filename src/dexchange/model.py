@@ -97,6 +97,18 @@ class ProblemInstance:
     def m(self) -> int:
         return len(self.observations)
 
+    def sum_rate_floor(self) -> int:
+        """Lower bound on the minimum sum rate from the m singleton cuts.
+
+        User i must receive ``N - rank(A_i)`` rows from the others, so
+        ``R(M - i) >= N - rank(A_i)``; summed over i this bounds
+        ``(m - 1) R(M)``.  It takes m eliminations and no rank table.
+        """
+        if self.m == 1:
+            return 0
+        need = [self.n_packets - rank(obs) for obs in self.observations]
+        return max(max(need), -(-sum(need) // (self.m - 1)))
+
     @property
     def full_mask(self) -> int:
         return (1 << self.m) - 1
@@ -212,6 +224,8 @@ def generate_instance(
         raise ValueError(f"kind must be 'raw' or 'coded', got {kind!r}")
     if m < 1 or n_packets < 1:
         raise InfeasibleInstance("m and N must be positive")
+    if m > MAX_USERS:
+        raise InfeasibleInstance(f"user count {m} exceeds the bitmask cap {MAX_USERS}")
     if coverage is None:
         per = max(1, math.ceil(2 * n_packets / m))
         if kind == "raw":
@@ -243,9 +257,10 @@ def generate_instance(
             FMatrix(field, rng.integers(0, field.p, size=(c, n_packets)), cols=n_packets)
             for c in coverage
         ]
-        stacked = FMatrix.vstack(field, mats, cols=n_packets)
-        if rank(stacked) == n_packets:
+        try:
             return ProblemInstance(field, n_packets, tuple(mats))
+        except InstanceError:  # the draw does not span all packets
+            continue
     raise InfeasibleInstance("no collectively full-rank draw found after 1000 attempts")
 
 

@@ -519,3 +519,97 @@ def test_validate_unwritable_artifact_exits_1(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "validate", "--suite", "paper-examples", "--artifact", artifact)
     assert code == 1
     assert "cannot write output" in err
+
+
+@pytest.mark.parametrize("q", [3, 17])
+def test_randomized_search_skips_budgets_below_the_floor(tmp_path, capsys, monkeypatch, q):
+    # Budgets below the cut-set floor cannot decode, so skipping their draws
+    # must leave every output as it is with the floor forced to 0.
+    import dexchange.cli as cli
+    from dexchange.model import ProblemInstance, generate_instance
+    from dexchange.ratealloc import min_cost
+
+    drawn = []
+    draw = cli.randomized_alloc
+    monkeypatch.setattr(
+        cli, "randomized_alloc", lambda oracle, beta, *a: drawn.append(beta) or draw(oracle, beta, *a)
+    )
+    real_floor = ProblemInstance.sum_rate_floor
+    path, sched = tmp_path / "inst.json", tmp_path / "sched.json"
+
+    def solve(*extra):
+        code, report, err = run(
+            capsys, "solve", str(path), "--cost", "fair", "--backend", "randomized",
+            "--seed", str(seed), "--schedule-out", str(sched), *extra,
+        )
+        out = sched.read_bytes() if sched.exists() else None
+        sched.unlink(missing_ok=True)
+        return code, report["payload"], err, out
+
+    for seed in range(8):
+        inst = generate_instance("coded", 4, 6, FieldSpec(q), seed=seed)
+        save_instance(inst, path)
+        floor = inst.sum_rate_floor()
+        exact = min_cost(CutSetOracle(inst), FairCost()).allocation.rates
+        below = [[floor - 1, 0, 0, 0]] if floor else []
+        for caps in [None, exact, *below]:
+            extra = () if caps is None else ("--caps", ",".join(map(str, caps)))
+            drawn.clear()
+            monkeypatch.setattr(ProblemInstance, "sum_rate_floor", real_floor)
+            got = solve(*extra)
+            assert min(drawn, default=floor) >= floor
+            monkeypatch.setattr(ProblemInstance, "sum_rate_floor", lambda self: 0)
+            assert solve(*extra) == got
+            if caps is not None and sum(caps) < floor:
+                assert got[0] == 2 and "no budget up to" in got[2]
+
+
+def test_randomized_search_needs_no_rank_table(wide_instance_file, capsys, monkeypatch):
+    import dexchange.model as model
+
+    def no_table(instance):
+        raise AssertionError("rank table built")
+
+    monkeypatch.setattr(model, "rank_table", no_table)
+    m = MAX_TABLE_USERS + 1
+    assert load_instance(wide_instance_file).sum_rate_floor() == m
+    code, report, _ = run(
+        capsys, "solve", wide_instance_file, "--cost", "fair", "--backend", "randomized"
+    )
+    assert code == 0
+    assert report["payload"]["beta"] == m
+
+
+def test_cached_parser_carries_nothing_between_calls(instance_file, tmp_path, capsys):
+    from dexchange.cli import build_parser
+    from dexchange.netcode import RngSpec
+
+    assert build_parser() is build_parser()
+    assert run(capsys, "solve", instance_file, "--cost", "fair", "--beta", "3")[0] == 2
+    code, report, _ = run(capsys, "solve", instance_file, "--cost", "fair")
+    assert code == 0
+    assert report["payload"]["beta"] == report["payload"]["min_sum_rate"] == 5
+
+    sched, truth = tmp_path / "sched.json", tmp_path / "w.json"
+    truth.write_text(json.dumps([1, 2, 3, 4, 5, 6]))
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", str(sched))[0] == 0
+    argv = ("decode", instance_file, str(sched), "--user", "0")
+    assert run(capsys, *argv, "--truth", str(truth))[1]["payload"]["packets"] == [1, 2, 3, 4, 5, 6]
+    code, report, _ = run(capsys, *argv)
+    demo = RngSpec(0).generator().integers(0, 257, size=6).tolist()
+    assert code == 0
+    assert report["payload"]["packets"] == demo
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 2**70, -1, 257], ids=["float", "bool", "huge", "negative", "q"])
+def test_decode_rejects_bad_truth_entries(instance_file, tmp_path, capsys, bad):
+    sched, truth = tmp_path / "sched.json", tmp_path / "w.json"
+    truth.write_text(json.dumps([bad, 2, 3, 4, 5, 6]))
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", str(sched))[0] == 0
+    code, report, err = run(
+        capsys, "decode", instance_file, str(sched), "--user", "0", "--truth", str(truth)
+    )
+    assert code == 1
+    assert report is None
+    assert "bad truth file: packets must be integers in [0, 257)" in err
+    assert "Traceback" not in err

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from dexchange.gf import FieldSpec, FMatrix, rank
 from dexchange.model import (
     MAX_TABLE_USERS,
+    MAX_USERS,
     CutSetOracle,
     InfeasibleInstance,
     InstanceError,
@@ -217,6 +218,50 @@ def test_generate_is_deterministic():
     a = generate_instance("coded", 3, 4, FieldSpec(257), seed=3)
     b = generate_instance("coded", 3, 4, FieldSpec(257), seed=3)
     assert a == b and a.digest() == b.digest()
+
+
+@pytest.mark.parametrize(
+    "m, q, seed, digest",
+    [
+        (10, 257, 0, "9c38d9538239"),
+        (10, 257, 1, "cd222a3ef822"),
+        (10, 257, 2, "f66c3712de57"),
+        (6, 17, 0, "0fb55119cb4e"),
+        (6, 17, 1, "b26430a315e3"),
+        (6, 17, 2, "56af649e01a4"),
+    ],
+)
+def test_generate_coded_ranks_each_draw_once(monkeypatch, m, q, seed, digest):
+    import dexchange.model as model
+
+    calls = []
+    monkeypatch.setattr(model, "rank", lambda mat: calls.append(mat) or rank(mat))
+    inst = generate_instance("coded", m, 24, FieldSpec(q), seed=seed)
+    assert inst.digest() == digest
+    assert len(calls) == 1  # these seeds span all packets on the first draw
+
+
+def test_generate_rejects_too_many_users():
+    with pytest.raises(InfeasibleInstance, match="bitmask cap"):
+        generate_instance("coded", MAX_USERS + 1, 4, FieldSpec(257))
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.sampled_from((2, 3, 5, 257)),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_sum_rate_floor_bounds_min_sum_rate(kind, m, n, q, seed):
+    from dexchange.ratealloc import min_sum_rate
+
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=seed)
+    floor = inst.sum_rate_floor()
+    assert 0 <= floor <= min_sum_rate(CutSetOracle(inst))
+    if m == 1:
+        assert floor == 0
 
 
 def test_generate_infeasible_coverage():
