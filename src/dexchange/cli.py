@@ -139,7 +139,7 @@ def _load_schedule(path: str, inst: ProblemInstance) -> TransmissionSchedule:
     try:
         schedule = load_schedule(path)
         schedule.validate_against(inst)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise SystemExit(f"bad schedule: {exc}")
     return schedule
 
@@ -161,7 +161,7 @@ def _cost_from_args(args, m: int):
     try:
         with open(args.table, "r", encoding="utf-8") as f:
             cost = TableCost(json.load(f))
-    except (OSError, ValueError, TypeError) as exc:
+    except (OSError, ValueError, TypeError, RecursionError) as exc:
         raise SystemExit(f"bad table file: {exc}")
     if len(cost.derivs) != m:
         raise SystemExit(f"bad table file: {m} increment tables required")
@@ -385,7 +385,7 @@ def cmd_decode(args) -> int:
         try:
             with open(args.truth, "r", encoding="utf-8") as f:
                 truth = json.load(f)
-        except (OSError, ValueError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
             raise SystemExit(f"bad truth file: {exc}")
         if not isinstance(truth, list) or len(truth) != inst.n_packets:
             raise SystemExit(f"truth must list {inst.n_packets} packets")

@@ -6,7 +6,8 @@ so the implementation favors clarity and reproducibility over asymptotics:
 Gauss-Jordan elimination to reduced row echelon form with a deterministic
 pivot rule (rows top to bottom, each on its first nonzero entry).  Matrices
 are immutable after construction and all operations are pure, so they can
-be shared freely across threads.
+be shared freely across threads.  The coded rank table instead eliminates a
+whole batch of matrices at once with the fraction-free ``_eliminate_leading``.
 """
 
 from __future__ import annotations
@@ -163,6 +164,29 @@ def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return a[keep], pivots
 
 
+def _eliminate_leading(x: np.ndarray, rows: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Eliminate the first ``rows`` rows of each matrix in the batch ``x``
+    (B x K x n, canonical entries, not written to) from the rows below them.
+
+    Returns the rank of those rows in each matrix and the other K - rows rows
+    reduced to zero in every pivot column, hence zero when in their span.
+    Fraction-free: rows are scaled by the pivot instead of dividing by it,
+    so entries stay below p^2 before each reduction and need no inverse.
+    """
+    gained = np.zeros(x.shape[0], dtype=np.int64)
+    batch = np.arange(x.shape[0])
+    for _ in range(rows):
+        row, x = x[:, 0], x[:, 1:]
+        col = (row != 0).argmax(axis=1)
+        piv = row[batch, col]
+        gained += piv != 0
+        piv[piv == 0] = 1  # a zero row leaves the rest as they are
+        t = x * piv[:, None, None]
+        t -= x[batch, :, col][:, :, None] * row[:, None, :]
+        x = np.remainder(t, p, out=t)
+    return gained, x
+
+
 def rank(m: FMatrix) -> int:
     """Rank of ``m`` over its field.  Empty matrices have rank 0."""
     if m.rows == 0 or m.cols == 0:
@@ -200,9 +224,7 @@ class RowBasis:
     ``extend`` reduces a batch of rows against the basis with one matmul,
     eliminates what is left, and folds the new pivots back into the old
     rows.  The randomized allocator keeps one per user as coded rows
-    accumulate, and the rank table extends a parent subset's basis by the
-    next user's rows.  Extending replaces the arrays instead of writing
-    into them, so ``copy`` is cheap and copies never share later updates.
+    accumulate.
     """
 
     def __init__(self, field: FieldSpec, cols: int, rows=()):
@@ -250,9 +272,3 @@ class RowBasis:
         if v.shape != (self.cols,):
             raise ShapeError(f"row of length {self.cols} required")
         return self.extend(v.reshape(1, -1)) > 0
-
-    def copy(self) -> "RowBasis":
-        dup = RowBasis(self.field, self.cols)
-        dup._rows = self._rows
-        dup._pivots = self._pivots
-        return dup

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec, FMatrix, RowBasis, rank
+from .gf import FieldSpec, FMatrix, _eliminate_leading, rank
 
 MAX_USERS = 30
 #: Largest user count whose 2^m joint-rank table is built (8 MB of int64).
@@ -171,7 +171,7 @@ def load_instance(path) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except ValueError as exc:  # not UTF-8, or not JSON
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
             raise InstanceError(f"not a JSON document: {exc}") from None
     return ProblemInstance.from_json_dict(data)
 
@@ -264,6 +264,10 @@ def generate_instance(
     raise InfeasibleInstance("no collectively full-rank draw found after 1000 attempts")
 
 
+#: Most entries (subsets x rows x packets) the coded table build eliminates at once:
+#: on two cores, coded m=16, N=40 builds in 0.65 s, 10 MB peak (2^20: 0.88 s, 43 MB).
+_BATCH_ENTRIES = 1 << 17
+
 #: Set bits of every byte value, for popcounts of packet bitmasks.
 _POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
@@ -298,34 +302,34 @@ def _raw_ranks(supports, m: int, n: int) -> np.ndarray:
 
 
 def _coded_ranks(instance: ProblemInstance) -> np.ndarray:
-    """Joint ranks by a depth-first walk of the subset lattice.
+    """Joint ranks by doubling over users, a batch of subsets at a time.
 
-    A node's parent is the node minus its highest user, and a child extends
-    the parent's reduced basis with the new user's rows.  Children are
-    visited from the highest user down, which visits every subset after all
-    of its immediate subsets.  A node with an immediate subset of rank N has
-    rank N without elimination, and a node that reaches rank N fills its
-    whole subtree (itself plus any users above its highest one) with N.
+    A batch at user j holds masks S of users below j, each with the rows of
+    users j, j+1, ... reduced modulo span(A_S).  One batched elimination of
+    user j's block gives every child S + j its rank over S and reduces the
+    later blocks modulo the child's span.  A child of rank N fills every
+    superset that adds only users above j with N; the other children join
+    their parents, block j sliced off, for user j+1.  A batch over
+    _BATCH_ENTRIES entries is split, and the parts run depth first.
     """
-    m, n = instance.m, instance.n_packets
-    obs = [o.array for o in instance.observations]
-    ranks = [0] * (1 << m)
-    stack = [(1 << j, j, RowBasis(instance.field, n)) for j in range(m)]
+    m, n, p = instance.m, instance.n_packets, instance.field.p
+    sizes = [o.rows for o in instance.observations]
+    ranks = np.zeros(1 << m, dtype=np.int64)
+    rows = np.concatenate([o.array for o in instance.observations])
+    stack = [(0, np.zeros(1, dtype=np.int64), rows[None])]
     while stack:
-        mask, top, basis = stack.pop()
-        below = mask ^ (1 << top)
-        full = any(ranks[mask ^ (1 << i)] == n for i in members(below))
-        if not full:
-            basis = basis.copy()
-            basis.extend(obs[top])
-            ranks[mask] = basis.rank
-            full = basis.rank == n
-        if full:
-            step = 1 << (top + 1)
-            ranks[mask::step] = [n] * len(range(mask, len(ranks), step))
-        else:
-            stack.extend((mask | 1 << j, j, basis) for j in range(top + 1, m))
-    return np.array(ranks, dtype=np.int64)
+        j, masks, res = stack.pop()
+        gained, rest = _eliminate_leading(res, sizes[j], p)
+        child = masks | 1 << j
+        ranks[child] = ranks[masks] + gained
+        full = ranks[child] == n
+        ranks[(child[full, None] + np.arange(0, 1 << m, 2 << j)).ravel()] = n
+        if j + 1 < m:
+            masks = np.concatenate([masks, child[~full]])
+            res = np.concatenate([res[:, sizes[j]:], rest[~full]])
+            parts = min(masks.size, -(-res.size // _BATCH_ENTRIES) or 1)
+            stack += zip([j + 1] * parts, np.array_split(masks, parts), np.array_split(res, parts))
+    return ranks
 
 
 def rank_table(instance: ProblemInstance) -> np.ndarray:

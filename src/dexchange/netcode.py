@@ -37,6 +37,14 @@ class NotDecodable(ValueError):
     """The user's observations plus received rows do not span the file."""
 
 
+def _json_int(v, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``v`` if it is a JSON integer, not a bool, in [low, high) where given."""
+    if type(v) is not int or (low is not None and v < low) or (high is not None and v >= high):
+        span = "" if low is None else f" in [{low}, {'inf' if high is None else high})"
+        raise ValueError(f"{what} {v!r} is not an integer{span}")
+    return v
+
+
 @dataclass(frozen=True)
 class RngSpec:
     """Seed plus stream index for a counter-based generator.
@@ -91,10 +99,9 @@ class TransmissionSchedule:
         if instance.field.p != self.q or instance.n_packets != self.n_packets:
             raise ValueError("schedule and instance disagree on field or packet count")
         for k, e in enumerate(self.entries, 1):
-            # type() rather than isinstance: JSON booleans are ints to Python.
-            if type(e.round) is not int or e.round != k:
+            if e.round != k:
                 raise ValueError(f"entry {k} has round {e.round!r}; rounds must run 1, 2, ...")
-            if type(e.user) is not int or not 0 <= e.user < instance.m:
+            if not 0 <= e.user < instance.m:
                 raise ValueError(f"round {k}: sender {e.user!r} is not among the {instance.m} users")
             expected = instance.observations[e.user].combine_rows(e.coeffs)
             if tuple(int(v) for v in expected) != e.combo:
@@ -117,19 +124,22 @@ class TransmissionSchedule:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TransmissionSchedule":
         try:
-            q = int(data["q"])
-            n = int(data["N"])
+            q = _json_int(data["q"], "q")
+            n = _json_int(data["N"], "N")
             entries = tuple(
                 ScheduleEntry(
-                    round=e["round"],
-                    user=e["user"],
-                    coeffs=tuple(int(v) for v in e["b"]),
-                    combo=tuple(int(v) for v in e["u"]),
+                    round=_json_int(e["round"], f"entry {k}: rounds must run 1, 2, ...; round"),
+                    user=_json_int(e["user"], f"round {k}: sender"),
+                    coeffs=tuple(_json_int(v, f"round {k}: coefficient", 0, q) for v in e["b"]),
+                    combo=tuple(_json_int(v, f"round {k}: row entry", 0, q) for v in e["u"]),
                 )
-                for e in data["entries"]
+                for k, e in enumerate(data["entries"], 1)
             )
             rng = data.get("rng")
-            spec = RngSpec(int(rng["seed"]), int(rng.get("stream", 0))) if rng else None
+            spec = None
+            if rng:
+                seed = _json_int(rng["seed"], "rng seed", 0)
+                spec = RngSpec(seed, _json_int(rng.get("stream", 0), "rng stream", 0))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"schedule document is malformed: {exc!r}") from None
         return cls(q, n, entries, spec)

@@ -393,6 +393,123 @@ def test_schedule_with_out_of_range_sender_exits_1(instance_file, tmp_path, caps
     assert "bad schedule" in err and "sender -3" in err
 
 
+@pytest.mark.parametrize(
+    "where, rewrite",
+    [
+        (("entries", 0, "b", 0), lambda v: 1 << 70),
+        (("entries", 0, "b", 0), float),
+        (("entries", 0, "b", 0), lambda v: True),
+        (("entries", 0, "b", 0), str),
+        (("entries", 0, "b", 0), lambda v: v + 257),
+        (("entries", 0, "b", 0), lambda v: v - 257),
+        (("entries", 0, "u", 0), lambda v: v + 257),
+        (("entries", 0, "u", 0), float),
+        (("entries", 0, "round"), float),
+        (("entries", 0, "user"), str),
+        (("q",), float),
+        (("N",), float),
+        (("rng", "seed"), lambda v: -1),
+        (("rng", "stream"), lambda v: 0.5),
+    ],
+    ids=[
+        "b-huge", "b-float", "b-bool", "b-string", "b-plus-q", "b-negative", "u-plus-q",
+        "u-float", "round-float", "user-string", "q-float", "N-float", "seed-negative",
+        "stream-float",
+    ],
+)
+@pytest.mark.parametrize("cmd", [["verify"], ["decode", "--user", "0"]], ids=["verify", "decode"])
+def test_schedule_with_bad_numbers_exits_1(instance_file, tmp_path, capsys, cmd, where, rewrite):
+    sched = tmp_path / "sched.json"
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", str(sched))[0] == 0
+    doc = json.loads(sched.read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = rewrite(node[where[-1]])
+    if where[2:3] == ("b",):
+        # Store the row the coefficients give modulo q, so that only the
+        # entry's type or range is wrong: each of these used to load, and
+        # 2^70 ended in an OverflowError traceback.
+        e = doc["entries"][0]
+        rows = load_instance(instance_file).observations[e["user"]].array.tolist()
+        coeffs = [int(v) % 257 for v in e["b"]]
+        e["u"] = [sum(c * row[k] for c, row in zip(coeffs, rows)) % 257 for k in range(6)]
+    sched.write_text(json.dumps(doc))
+    code, report, err = run(capsys, cmd[0], instance_file, str(sched), *cmd[1:])
+    assert code == 1
+    assert report is None
+    assert "bad schedule" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "{deep}"], "bad instance file"),
+        (["verify", "{instance}", "{deep}"], "bad schedule"),
+        (["solve", "{instance}", "--cost", "table", "--table", "{deep}"], "bad table file"),
+        (["decode", "{instance}", "{sched}", "--user", "0", "--truth", "{deep}"], "bad truth file"),
+    ],
+    ids=["instance", "schedule", "table", "truth"],
+)
+def test_too_deeply_nested_json_exits_1(instance_file, tmp_path, capsys, argv, message):
+    # The json module gives up on deep nesting with a RecursionError.
+    deep, sched = tmp_path / "deep.json", tmp_path / "sched.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", str(sched))[0] == 0
+    code, report, err = run(
+        capsys, *(a.format(instance=instance_file, deep=deep, sched=sched) for a in argv)
+    )
+    assert code == 1
+    assert report is None
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["gen", "--preset", "example1", "--out", "{out}"], 0),
+        (["gen", "--kind", "raw", "--m", "2", "--n", "4", "--rows", "1,1"], 1),
+        (["solve", "{instance}", "--cost", "fair"], 0),
+        (["solve", "{instance}", "--cost", "linear"], 1),
+        (["solve", "{instance}", "--cost", "fair", "--beta", "4"], 2),
+        (["code", "{instance}", "--rates", "1,1,3", "--out", "{out}"], 0),
+        (["code", "{instance}", "--rates", "1,1", "--out", "{out}"], 1),
+        (["code", "{instance}", "--rates", "1,1,1", "--out", "{out}"], 2),
+        (["code", "{gf2}", "--rates", "1,1,3", "--max-retries", "1", "--out", "{out}"], 3),
+        (["verify", "{instance}", "{sched}"], 0),
+        (["verify", "{instance}", "{missing}"], 1),
+        (["verify", "{instance}", "{empty}"], 4),
+        (["decode", "{instance}", "{sched}", "--user", "0"], 0),
+        (["decode", "{instance}", "{sched}", "--user", "3"], 1),
+        (["decode", "{instance}", "{empty}", "--user", "0"], 4),
+        (["validate", "--suite", "paper-examples"], 0),
+        (["validate", "--suite", "rlnc", "--q", "4"], 1),
+        (["validate", "--suite", "paper-examples", "--artifact", "{out}"], 5),
+    ],
+    ids=lambda v: v if isinstance(v, int) else v[0],
+)
+def test_exit_code_contract(instance_file, tmp_path, capsys, monkeypatch, argv, expected):
+    paths = {
+        name: str(tmp_path / f"{name}.json") for name in ("out", "sched", "missing", "empty", "gf2")
+    }
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", paths["sched"])[0] == 0
+    assert run(capsys, "gen", "--preset", "example1", "--q", "2", "--out", paths["gf2"])[0] == 0
+    with open(paths["empty"], "w", encoding="utf-8") as f:
+        json.dump({"q": 257, "N": 6, "entries": [], "rng": None}, f)
+    if expected == 5:  # no input makes a property fail
+        import dexchange.cli as cli
+        from dexchange.validate import CheckResult
+
+        monkeypatch.setattr(
+            cli, "run_reference_examples", lambda: [CheckResult("forced", False, {"why": "test"})]
+        )
+    code, report, err = run(capsys, *(a.format(instance=instance_file, **paths) for a in argv))
+    assert code == expected
+    assert "Traceback" not in err
+    if code == 1:
+        assert report is None and err.strip()
+
+
 @pytest.mark.parametrize("blob", [b"not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
 @pytest.mark.parametrize("cmd", ["solve", "verify"])
 def test_instance_file_that_is_not_json_exits_1(tmp_path, capsys, cmd, blob):

@@ -153,13 +153,5 @@ def test_row_basis_incremental_matches_batch_rank():
         assert batched.rank == basis.rank
 
 
-def test_row_basis_copy_is_independent():
-    f = FieldSpec(5)
-    b = RowBasis(f, 3, [[1, 0, 0]])
-    c = b.copy()
-    c.add([0, 1, 0])
-    assert b.rank == 1 and c.rank == 2
-
-
 def test_is_prime_small_values():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]

@@ -1,10 +1,13 @@
+import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dexchange import model
 from dexchange.gf import FieldSpec, FMatrix, rank
 from dexchange.model import (
     MAX_TABLE_USERS,
@@ -410,6 +413,47 @@ def test_rank_table_matches_on_generated_instances():
         for seed in range(3):
             inst = generate_instance(kind, m, n, FieldSpec(q), coverage=coverage, seed=seed)
             assert rank_table(inst).tolist() == _stacked_ranks(inst)
+
+
+#: Coded instances for the batched build: (q, m, N, coverage, seed).
+_BUILD_CASES = {
+    "m10-seed0": (257, 10, 24, None, 0),
+    "m10-seed1": (257, 10, 24, None, 1),
+    "m10-seed2": (257, 10, 24, None, 2),
+    "q1048573": (1048573, 7, 12, None, 0),
+    "gf2": (2, 7, 10, None, 0),
+    "zero-rows": (257, 6, 9, (3, 0, 4, 0, 2, 3), 0),
+    "uneven": (257, 7, 12, (1, 6, 2, 9, 1, 3, 5), 0),
+    "alone-full": (257, 6, 8, (8, 1, 2, 3, 1, 2), 0),
+}
+
+
+@functools.cache
+def _build_case(name):
+    q, m, n, coverage, seed = _BUILD_CASES[name]
+    inst = generate_instance("coded", m, n, FieldSpec(q), coverage=coverage, seed=seed)
+    assert _raw_supports(inst) is None
+    return inst, _stacked_ranks(inst)
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["default-budget", "split-every-batch"])
+@pytest.mark.parametrize("case", list(_BUILD_CASES))
+def test_batched_coded_build_matches_stacked_ranks(monkeypatch, case, split):
+    inst, want = _build_case(case)
+    if split:  # every batch holds one subset, so each split path runs
+        monkeypatch.setattr(model, "_BATCH_ENTRIES", 1)
+    assert rank_table(inst).tolist() == want
+
+
+def test_batched_coded_build_memory_is_bounded():
+    inst = generate_instance("coded", 16, 40, FieldSpec(257), seed=0)
+    tracemalloc.start()
+    try:
+        rank_table(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 << 20
 
 
 def test_rank_table_is_read_only(demo_oracle):
