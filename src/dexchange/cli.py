@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 import time
 
@@ -53,12 +52,9 @@ from .ratealloc import (
     TableCost,
     _check_caps,
     budget_ceiling,
-    cheapest_budget,
     eval_h,
-    first_feasible,
     min_cost,
-    sfm_minimizer,
-    subgradient_minimizer,
+    optimal_budget,
 )
 from .validate import (
     run_properties,
@@ -208,16 +204,11 @@ def cmd_solve(args) -> int:
         raise SystemExit(f"--beta must lie in [0, {MAX_BUDGET})")
     if args.max_retries < 1:
         raise SystemExit("--max-retries must be at least 1")
-    if args.backend == "subgradient":
-        minimizer = subgradient_minimizer()
-    else:
-        minimizer = sfm_minimizer
-
     try:
         if args.backend == "randomized":
             payload = _solve_randomized(oracle, cost, caps, args)
         elif args.beta is not None:
-            value, alloc = eval_h(oracle, args.beta, cost, caps, minimizer)
+            value, alloc = eval_h(oracle, args.beta, cost, caps)
             payload = {
                 "feasible": True,
                 "beta": args.beta,
@@ -225,7 +216,7 @@ def cmd_solve(args) -> int:
                 "cost": value,
             }
         else:
-            got = min_cost(oracle, cost, caps, minimizer)
+            got = min_cost(oracle, cost, caps)
             payload = {
                 "feasible": True,
                 "beta": got.beta,
@@ -260,51 +251,43 @@ def cmd_solve(args) -> int:
 def _solve_randomized(oracle, cost, caps, args) -> dict:
     """Randomized run at --beta, or a budget search over randomized runs.
 
-    h(beta) is the cost of the first of --max-retries attempts at ``beta``
-    that completes all rounds with every user decoding, and infinite when
-    none does; small fields make that spurious with probability decaying in
-    the attempt count.  Each (beta, attempt) pair draws from its own stream,
-    so --beta B reproduces the schedule the search found at B.
+    A budget's run is the first of --max-retries attempts at it that
+    completes all rounds with every user decoding, and the budget counts as
+    infeasible when none does; small fields make that spurious with
+    probability decaying in the attempt count.  Each (beta, attempt) pair
+    draws from its own stream, so --beta B reproduces the schedule the
+    search found at B.
     """
     inst = oracle.instance
-    runs: dict[int, tuple | None] = {}
 
-    def h(beta):
-        if beta not in runs:
-            runs[beta] = None
-            for attempt in range(args.max_retries):
-                rng = RngSpec(args.seed, _stream(beta, attempt))
-                try:
-                    alloc, schedule, report = randomized_alloc(oracle, beta, cost, caps, rng)
-                except Infeasible:
-                    continue
-                if report.all_ok:
-                    runs[beta] = alloc, schedule
-                    break
-        got = runs[beta]
-        return math.inf if got is None else sum(cost.value(i, r) for i, r in enumerate(got[0].rates))
+    def solve(beta):
+        for attempt in range(args.max_retries):
+            rng = RngSpec(args.seed, _stream(beta, attempt))
+            try:
+                alloc, schedule, report = randomized_alloc(oracle, beta, cost, caps, rng)
+            except Infeasible:
+                continue
+            if report.all_ok:
+                return sum(cost.value(i, r) for i, r in enumerate(alloc.rates)), alloc, schedule
+        raise Infeasible(
+            f"no decodable run at budget {beta} after {args.max_retries} attempts", beta=beta
+        )
 
     if args.beta is not None:
         beta = args.beta
-        if h(beta) == math.inf:
-            raise Infeasible(
-                f"no decodable run at budget {beta} after {args.max_retries} attempts", beta=beta
-            )
+        value, alloc, schedule = solve(beta)
     else:
         # Budgets below the cut-set floor cannot decode, so they fail without
         # a draw; the probe sequence, and so every output, stays the same.
-        floor = inst.sum_rate_floor()
         hi = budget_ceiling(inst.n_packets, caps)
-        lo = first_feasible(lambda b: b >= floor and h(b) < math.inf, hi)
-        beta = cheapest_budget(h, lo, hi)
-    alloc, schedule = runs[beta]
+        _, beta, (value, alloc, schedule) = optimal_budget(solve, hi, floor=inst.sum_rate_floor())
     if args.schedule_out:
         _write(save_schedule, schedule, args.schedule_out)
     return {
         "feasible": True,
         "beta": beta,
         "rates": list(alloc.rates),
-        "cost": h(beta),
+        "cost": value,
         "schedule": args.schedule_out,
     }
 
@@ -314,6 +297,8 @@ def cmd_code(args) -> int:
     inst = _load(args.instance)
     if len(args.rates) != inst.m:
         raise SystemExit(f"--rates must list {inst.m} values")
+    if min(args.rates) < 0:
+        raise SystemExit("--rates must be non-negative")
     if max(args.rates) >= MAX_BUDGET:
         raise SystemExit(f"--rates must lie below {MAX_BUDGET}")
     if args.max_retries < 1:
@@ -482,7 +467,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--table", help="JSON file of per-user increment tables")
     s.add_argument("--beta", type=int, help="fixed total budget (default: optimize)")
     s.add_argument("--caps", type=_parse_ints, help="per-user transmission caps")
-    s.add_argument("--backend", choices=("sfm", "subgradient", "randomized"), default="sfm")
+    s.add_argument("--backend", choices=("sfm", "randomized"), default="sfm")
     s.add_argument("--seed", type=_at_least(0), default=0)
     s.add_argument("--max-retries", type=int, default=8, help="randomized attempts per budget")
     s.add_argument("--schedule-out", help="write the randomized schedule here")

@@ -126,6 +126,8 @@ class TransmissionSchedule:
         try:
             q = _json_int(data["q"], "q")
             n = _json_int(data["N"], "N")
+            if type(data["entries"]) is not list:
+                raise TypeError("entries must be a list")
             entries = tuple(
                 ScheduleEntry(
                     round=_json_int(e["round"], f"entry {k}: rounds must run 1, 2, ...; round"),
@@ -137,7 +139,7 @@ class TransmissionSchedule:
             )
             rng = data.get("rng")
             spec = None
-            if rng:
+            if rng is not None:
                 seed = _json_int(rng["seed"], "rng seed", 0)
                 spec = RngSpec(seed, _json_int(rng.get("stream", 0), "rng stream", 0))
         except (AttributeError, KeyError, TypeError) as exc:

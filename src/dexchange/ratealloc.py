@@ -11,14 +11,15 @@ polytope:
   giving the unit to the cheapest user whose increment stays inside the
   polytope (optimal for any separable convex non-decreasing cost), through
   the round driver :func:`allocate_rounds` that the randomized solver shares.
-* :func:`min_sum_rate` and :func:`min_cost` bisect the budget axis with
-  :func:`search_budget`, using the convexity of the per-budget optimum.
+* :func:`min_cost` searches the budget axis once, with
+  :func:`optimal_budget`, using the convexity of the per-budget optimum.
 
 The shared coordinate step ("how far can this user's rate grow") is a small
 submodular minimization.  Two interchangeable engines provide it: exact
 enumeration (:func:`sfm_minimizer`, the default) and a dual subgradient loop
 (:func:`subgradient_minimizer`) whose step and iteration count follow from
-N and m, with every iterate an exact integer multiple of the step.
+N and m, with every iterate an exact integer multiple of the step.  Only
+the fixed-budget solvers take the second; budget searches use the first.
 
 Per-user capacity caps plug into both solvers: capping the greedy coordinate
 values (or filtering increment candidates) optimizes over the restriction of
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from .model import CutSetOracle, dilworth_value, members, subset_sums
 from .sfm import GroundSet, min_pinned
 
-#: Slack in the slope test of :func:`cheapest_budget`: the fairness cost
+#: Slack in the slope test of :func:`optimal_budget`: the fairness cost
 #: sums irrational increments, so two optimal budget costs that are equal
 #: in exact arithmetic may differ by rounding.  Increments themselves are
 #: compared exactly.
@@ -44,9 +45,10 @@ class Infeasible(Exception):
     """A sum-rate budget (with or without caps) admits no allocation.
 
     Carries progress metadata: ``beta`` is the requested budget,
-    ``achieved_sum`` the best reachable total (greedy path), and
-    ``rounds_completed`` how many unit increments succeeded (incremental
-    path).
+    ``achieved_sum`` the largest total the cut-set bounds (and caps) at
+    ``beta`` admit, which is negative far below the minimum sum rate (greedy
+    path), and ``rounds_completed`` how many unit increments succeeded
+    (incremental path).
     """
 
     def __init__(self, message, *, beta=None, achieved_sum=None, rounds_completed=None):
@@ -270,7 +272,7 @@ def modified_edmonds(oracle, beta, weights, caps=None, minimizer=sfm_minimizer) 
     total = sum(rates)
     if total != beta:
         raise Infeasible(
-            f"budget {beta} is not reachable; allocation tops out at {total}",
+            f"the cut-set bounds at budget {beta} admit a total of at most {total}",
             beta=beta,
             achieved_sum=total,
         )
@@ -304,14 +306,34 @@ def first_feasible(feasible, hi: int, hi_known: bool = False) -> int:
     return search_budget(feasible, 1, hi)
 
 
-def cheapest_budget(h, lo: int, hi: int) -> int:
-    """Smallest minimizer on ``[lo, hi]`` of a budget cost ``h``, convex where
-    feasible and ``math.inf`` elsewhere: the first budget whose forward
-    difference is non-negative, so an infeasible next budget is not cheaper."""
-    return search_budget(lambda b: h(b + 1) >= h(b) - D_TIE, lo, hi)
+def optimal_budget(solve, hi: int, hi_known: bool = False, floor: int = 0):
+    """The one budget search: ``(smallest feasible budget, cheapest budget,
+    solve(cheapest budget))`` over ``[0, hi]``, solving no budget twice.
+
+    ``solve(b)`` returns a tuple led by the cost at b (the rest, such as an
+    allocation and a schedule, is carried through) or raises
+    :class:`Infeasible`; budgets below ``floor`` fail without a call.  The
+    cost is convex where feasible and infinite elsewhere, so the cheapest
+    budget is the first whose forward difference is non-negative.
+    """
+    runs = {}
+
+    def h(b):
+        if b not in runs:
+            runs[b] = None
+            if b >= floor:
+                try:
+                    runs[b] = solve(b)
+                except Infeasible:
+                    pass
+        return math.inf if runs[b] is None else runs[b][0]
+
+    lo = first_feasible(lambda b: h(b) < math.inf, hi, hi_known)
+    beta = search_budget(lambda b: h(b + 1) >= h(b) - D_TIE, lo, hi)
+    return lo, beta, runs[beta] if beta in runs else solve(beta)
 
 
-def min_sum_rate(oracle, caps=None, minimizer=sfm_minimizer) -> int:
+def min_sum_rate(oracle, caps=None) -> int:
     """Smallest feasible total budget, by bisection on feasibility.
 
     Feasibility of a budget is monotone, and the packet count N is always
@@ -324,7 +346,7 @@ def min_sum_rate(oracle, caps=None, minimizer=sfm_minimizer) -> int:
 
     def feasible(b: int) -> bool:
         try:
-            modified_edmonds(oracle, b, unit, caps, minimizer)
+            modified_edmonds(oracle, b, unit, caps)
             return True
         except Infeasible:
             return False
@@ -409,18 +431,16 @@ def convex_alloc(oracle, beta, cost, caps=None, minimizer=sfm_minimizer) -> Allo
     if beta < 0:
         raise ValueError("budget must be non-negative")
     caps = _check_caps(caps, m)
-    if beta == 0:
-        # No rounds run, so check membership of the zero vector directly:
-        # it is inside the budget-0 polytope only if every user alone
-        # already spans the file.
-        if any(oracle.joint_rank(1 << i) < inst.n_packets for i in range(m)):
-            raise Infeasible(
-                "budget 0 requires every user to already hold the full file",
-                beta=0,
-                achieved_sum=0,
-                rounds_completed=0,
-            )
-        return Allocation((0,) * m, 0, tsets=())
+    # The zero vector the rounds start from lies in the budget-beta polytope
+    # only if no user alone lacks more than beta packets.
+    need = inst.n_packets - int(oracle.ranks[[1 << i for i in range(m)]].min())
+    if beta < need:
+        raise Infeasible(
+            f"budget {beta} is below the {need} packets one user lacks",
+            beta=beta,
+            achieved_sum=0,
+            rounds_completed=0,
+        )
     return allocate_rounds(
         m, beta, cost, lambda rates: transmit_set(oracle, beta, rates, minimizer), caps
     )
@@ -451,32 +471,21 @@ class MinCostResult:
     min_sum_rate: int
 
 
-def min_cost(oracle, cost, caps=None, minimizer=sfm_minimizer) -> MinCostResult:
+def min_cost(oracle, cost, caps=None) -> MinCostResult:
     """Minimize the cost over all feasible budgets.
 
     The per-budget optimum is convex on the feasible range and its minimizer
-    never exceeds the packet count, so after locating the smallest feasible
-    budget this bisects for the first budget whose forward cost difference
-    is non-negative.  That realizes the smallest-minimizer tie-break: among
-    equally cheap budgets the fewest total transmissions win.
+    never exceeds the packet count, so one :func:`optimal_budget` search
+    over the fixed-budget optima :func:`eval_h` finds it.  Among equally
+    cheap budgets the fewest total transmissions win.
     """
     inst = oracle.instance
     caps = _check_caps(caps, inst.m)
-    beta_min = min_sum_rate(oracle, caps, minimizer)
-    cache: dict[int, tuple[float, Allocation | None]] = {}
-
-    def h(b: int) -> float:
-        if b not in cache:
-            try:
-                cache[b] = eval_h(oracle, b, cost, caps, minimizer)
-            except Infeasible:
-                cache[b] = (math.inf, None)
-        return cache[b][0]
-
-    beta = cheapest_budget(h, beta_min, budget_ceiling(inst.n_packets, caps))
-    value, alloc = cache[beta] if beta in cache else eval_h(oracle, beta, cost, caps, minimizer)
-    if alloc is None:
-        raise Infeasible(f"budget {beta} unexpectedly infeasible", beta=beta)
+    beta_min, beta, (value, alloc) = optimal_budget(
+        lambda b: eval_h(oracle, b, cost, caps),
+        budget_ceiling(inst.n_packets, caps),
+        hi_known=caps is None,
+    )
     return MinCostResult(beta, value, alloc, beta_min)
 
 

@@ -192,8 +192,8 @@ def run_oracle_equivalence(instances, seed=0) -> list[CheckResult]:
                         f"min-cost/{tag}", ok, {"solver": solver, "brute": brute}
                     )
                 )
-                # Fixed-budget agreement at a couple of probe budgets.
-                for beta in {0, inst.n_packets // 2, inst.n_packets}:
+                # Fixed-budget agreement at every budget the searches probe.
+                for beta in range(inst.n_packets + 1):
                     try:
                         value, _ = eval_h(oracle, beta, cost, caps)
                     except Infeasible:

@@ -98,6 +98,29 @@ def test_solve_infeasible_budget_exits_2(instance_file, capsys):
     assert report["payload"]["feasible"] is False
 
 
+def test_solve_below_the_minimum_sum_rate_reports_the_cut_set_total(instance_file, capsys):
+    # Far below the minimum sum rate (5) the cut-set bounds admit a negative
+    # total, which is reported as such and not as an allocation.
+    code, report, err = run(
+        capsys, "solve", instance_file, "--cost", "linear", "--weights", "1,1,1", "--beta", "0"
+    )
+    assert code == 2
+    assert report["payload"]["achieved_sum"] == -8
+    assert "the cut-set bounds at budget 0 admit a total of at most -8" in err
+    assert "allocation" not in err
+
+
+def test_solve_below_the_largest_user_need_exits_2(short_user, tmp_path, capsys):
+    path = tmp_path / "short.json"
+    save_instance(short_user, path)
+    code, report, _ = run(capsys, "solve", str(path), "--cost", "fair", "--beta", "1")
+    assert code == 2
+    assert report["payload"]["rounds_completed"] == 0
+    # The rates a wrong solve would report are not in the cut-set region.
+    code, _, _ = run(capsys, "code", str(path), "--rates", "0,1", "--out", str(tmp_path / "s.json"))
+    assert code == 2
+
+
 @pytest.mark.parametrize("beta", ["-1", str(1 << 70)])
 def test_solve_budget_out_of_range_exits_1(instance_file, capsys, beta):
     code, report, err = run(
@@ -113,21 +136,16 @@ def test_code_rates_out_of_range_exits_1(instance_file, capsys):
     assert code == 1
     assert report is None
     assert "--rates must lie below" in err
+    code, report, err = run(capsys, "code", instance_file, "--rates=-1,1,5")
+    assert code == 1
+    assert report is None
+    assert "--rates must be non-negative" in err
 
 
 def test_solve_caps(instance_file, capsys):
     code, report, _ = run(
         capsys, "solve", instance_file, "--cost", "linear", "--weights", "1,3,2",
         "--beta", "5", "--caps", "2,2,2",
-    )
-    assert code == 0
-    assert report["payload"]["rates"] == [1, 2, 2]
-
-
-def test_solve_subgradient_backend(instance_file, capsys):
-    code, report, _ = run(
-        capsys, "solve", instance_file, "--cost", "fair", "--beta", "5",
-        "--backend", "subgradient",
     )
     assert code == 0
     assert report["payload"]["rates"] == [1, 2, 2]
@@ -563,8 +581,12 @@ def test_max_retries_below_one_exits_1(instance_file, tmp_path, capsys, argv, re
         (["decode", "{instance}", "s.json"], 1),
         (["frobnicate"], 1),
         (["--version"], 0),
+        (["solve", "{instance}", "--cost", "fair", "--backend", "subgradient"], 1),
     ],
-    ids=["missing-instance", "bad-choice", "bad-int", "missing-user", "bad-command", "version"],
+    ids=[
+        "missing-instance", "bad-choice", "bad-int", "missing-user", "bad-command", "version",
+        "removed-backend",
+    ],
 )
 def test_argparse_exits_keep_the_exit_code_contract(instance_file, capsys, argv, expected):
     # argparse itself exits 2, which the contract reserves for infeasibility.

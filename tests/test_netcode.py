@@ -405,6 +405,10 @@ def test_schedule_validation_over_entry_mutations(demo, mutations):
         {"q": 257, "N": 6, "entries": [3]},
         {"q": 257, "N": 6, "entries": [], "rng": [1]},
         [],
+        {"q": 257, "N": 6, "entries": {}},
+        {"q": 257, "N": 6, "entries": ""},
+        {"q": 257, "N": 6, "entries": [], "rng": 0},
+        {"q": 257, "N": 6, "entries": [], "rng": False},
     ],
 )
 def test_schedule_loader_rejects_malformed_documents(doc):

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from dexchange.gf import FieldSpec
@@ -9,6 +10,7 @@ from dexchange.ratealloc import (
     FairCost,
     Infeasible,
     LinearCost,
+    MinCostResult,
     TableCost,
     allocate_rounds,
     cheapest_increment,
@@ -25,7 +27,7 @@ from dexchange.ratealloc import (
     transmit_set,
 )
 from dexchange.sfm import GroundSet, min_pinned
-from dexchange.validate import brute_eval_h, brute_min_cost
+from dexchange.validate import _random_caps, _suite_costs, brute_eval_h, brute_min_cost, suite_instances
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +179,22 @@ def test_convex_alloc_budget_zero(demo_oracle):
     assert convex_alloc(CutSetOracle(solo), 0, FairCost()).rates == (0,)
 
 
+def test_convex_alloc_below_the_largest_user_need_is_infeasible(short_user):
+    # Below user 0's need of 2 the zero start vector lies outside the
+    # polytope; the rounds used to run anyway and return rates (0, 1) at
+    # budget 1, which violate a cut-set bound.
+    oracle = CutSetOracle(short_user)
+    assert min_sum_rate(oracle) == 2
+    for beta in (0, 1):
+        with pytest.raises(Infeasible) as err:
+            convex_alloc(oracle, beta, FairCost())
+        assert (err.value.achieved_sum, err.value.rounds_completed) == (0, 0)
+        with pytest.raises(Infeasible):
+            eval_h(oracle, beta, FairCost())
+    value, alloc = eval_h(oracle, 2, FairCost())
+    assert in_cut_set_region(oracle, alloc.rates) and alloc.total == 2
+
+
 def test_convex_alloc_respects_caps(demo_oracle):
     alloc = convex_alloc(demo_oracle, 5, LinearCost((1, 3, 2)), caps=(2, 2, 2))
     assert alloc.rates == (1, 2, 2)
@@ -277,6 +295,67 @@ def test_min_cost_matches_enumeration_with_caps(demo_oracle):
         min_cost(demo_oracle, FairCost(), caps=(1, 1, 1))
 
 
+def _two_bisection_min_cost(oracle, cost, caps=None):
+    """The earlier budget search, kept as the reference for min_cost: one
+    bisection on unit-weight greedy feasibility for the smallest feasible
+    budget, then a second, cached one on the cost from there."""
+    inst = oracle.instance
+    hi = inst.n_packets if caps is None else min(inst.n_packets, sum(caps))
+
+    def bisect(ok, lo, hi):
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if ok(mid):
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+
+    def feasible(b):
+        try:
+            modified_edmonds(oracle, b, (1,) * inst.m, caps)
+            return True
+        except Infeasible:
+            return False
+
+    if feasible(0):
+        beta_min = 0
+    elif caps is not None and (hi == 0 or not feasible(hi)):
+        raise Infeasible(f"no budget up to {hi} is feasible", beta=hi)
+    else:
+        beta_min = bisect(feasible, 1, hi)
+    cache = {}
+
+    def h(b):
+        if b not in cache:
+            try:
+                cache[b] = eval_h(oracle, b, cost, caps)
+            except Infeasible:
+                cache[b] = (math.inf, None)
+        return cache[b][0]
+
+    beta = bisect(lambda b: h(b + 1) >= h(b) - 1e-12, beta_min, hi)
+    value, alloc = cache[beta] if beta in cache else eval_h(oracle, beta, cost, caps)
+    return MinCostResult(beta, value, alloc, beta_min)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_min_cost_matches_the_two_bisection_search(seed):
+    rng = np.random.default_rng(seed)
+    for inst in suite_instances(count=30, seed=seed, max_m=5, max_n=7):
+        oracle = CutSetOracle(inst)
+        for cost in _suite_costs(inst, rng):
+            for caps in (None, _random_caps(inst, rng)):
+                try:
+                    want = _two_bisection_min_cost(oracle, cost, caps)
+                except Infeasible as exc:
+                    with pytest.raises(Infeasible) as err:
+                        min_cost(oracle, cost, caps)
+                    assert (str(err.value), err.value.beta) == (str(exc), exc.beta)
+                    continue
+                assert min_cost(oracle, cost, caps) == want
+
+
 def test_h_is_convex_on_feasible_budgets(demo_oracle):
     for cost in (LinearCost((1, 3, 2)), FairCost()):
         values = [eval_h(demo_oracle, b, cost)[0] for b in range(5, 7)]
@@ -308,7 +387,6 @@ def test_subgradient_agrees_with_enumeration_everywhere(demo_oracle):
 def test_subgradient_backend_drives_full_solvers(demo_oracle):
     minimizer = subgradient_minimizer()
     assert minimizer is subgrad_coordinate
-    assert min_sum_rate(demo_oracle, minimizer=minimizer) == 5
     assert modified_edmonds(demo_oracle, 5, (1, 3, 2), minimizer=minimizer).rates == (1, 1, 3)
     alloc = convex_alloc(demo_oracle, 5, FairCost(), minimizer=minimizer)
     assert alloc.rates == (1, 2, 2)
