@@ -57,6 +57,9 @@ from .ratealloc import (
     optimal_budget,
 )
 from .validate import (
+    MAX_GRID_ENTRIES,
+    RLNC_USERS,
+    grid_fits,
     run_properties,
     run_reference_examples,
     run_rlnc_stats,
@@ -417,6 +420,10 @@ def cmd_validate(args) -> int:
         FieldSpec(args.q)
     except ValueError as exc:
         raise SystemExit(f"bad --q: {exc}")
+    if args.suite in ("rlnc", "all") and args.q <= RLNC_USERS:
+        raise SystemExit(f"bad --q: the rlnc suite needs a field order above its {RLNC_USERS} users")
+    if args.suite in ("properties", "all") and not grid_fits(args.max_m, args.max_n):
+        raise SystemExit(f"bad --max-m/--max-n: (max_n + 1)^max_m * 2^max_m exceeds {MAX_GRID_ENTRIES}")
     results = []
     if args.suite in ("properties", "all"):
         results += run_properties(args.trials, args.seed, args.max_m, args.max_n)

@@ -2,12 +2,14 @@
 
 Every rank oracle, decodability check and decoding step in this package sits
 on top of this module.  Matrices are small and dense at the scale we target,
-so the implementation favors clarity and reproducibility over asymptotics:
-Gauss-Jordan elimination to reduced row echelon form with a deterministic
-pivot rule (rows top to bottom, each on its first nonzero entry).  Matrices
-are immutable after construction and all operations are pure, so they can
-be shared freely across threads.  The coded rank table instead eliminates a
-whole batch of matrices at once with the fraction-free ``_eliminate_leading``.
+so the implementation favors clarity and reproducibility over asymptotics.
+One incremental Gauss-Jordan basis, :class:`RowBasis`, serves ranks, solves
+and the randomized allocator's exchange state: rows are taken top to bottom,
+each pivoted on its first nonzero entry once reduced, which keeps the basis
+in reduced row echelon form.  Matrices are immutable after construction and
+all operations are pure, so they can be shared freely across threads.  The
+coded rank table instead eliminates a whole batch of matrices at once with
+the fraction-free ``_eliminate_leading``.
 """
 
 from __future__ import annotations
@@ -107,8 +109,6 @@ class FMatrix:
         c = np.asarray(coeffs, dtype=np.int64)
         if c.shape != (self.rows,):
             raise ShapeError(f"coefficient vector of length {self.rows} required")
-        if self.rows == 0:
-            return np.zeros(self.cols, dtype=np.int64)
         return (c @ self._a) % self.field.p
 
     @classmethod
@@ -138,32 +138,6 @@ class FMatrix:
         return f"FMatrix(GF({self.field.p}), {self.rows}x{self.cols})"
 
 
-def _row_reduce(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of ``a`` modulo p, up to row order.
-
-    Returns (matrix, pivot columns): the nonzero rows, where row k has its
-    leading 1 in column ``pivots[k]`` and every other row is zero there.
-    Rows are taken top to bottom, each reduced by the pivots found above it
-    and, unless it has become zero, pivoted on its first nonzero entry.
-    """
-    a = a % p
-    pivots: list[int] = []
-    keep: list[int] = []
-    for r in range(a.shape[0]):
-        row = a[r]
-        c = int((row != 0).argmax())
-        if not row[c]:
-            continue
-        row = (row * pow(int(row[c]), p - 2, p)) % p
-        col = a[:, c:c + 1].copy()
-        col[r] = 0
-        a = (a - col * row) % p
-        a[r] = row
-        pivots.append(c)
-        keep.append(r)
-    return a[keep], pivots
-
-
 def _eliminate_leading(x: np.ndarray, rows: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Eliminate the first ``rows`` rows of each matrix in the batch ``x``
     (B x K x n, canonical entries, not written to) from the rows below them.
@@ -189,10 +163,7 @@ def _eliminate_leading(x: np.ndarray, rows: int, p: int) -> tuple[np.ndarray, np
 
 def rank(m: FMatrix) -> int:
     """Rank of ``m`` over its field.  Empty matrices have rank 0."""
-    if m.rows == 0 or m.cols == 0:
-        return 0
-    _, pivots = _row_reduce(m.array, m.field.p)
-    return len(pivots)
+    return RowBasis(m.field, m.cols, m.array).rank
 
 
 def solve_full_rank(m: FMatrix, rhs) -> np.ndarray:
@@ -205,70 +176,67 @@ def solve_full_rank(m: FMatrix, rhs) -> np.ndarray:
     b = np.asarray(rhs, dtype=np.int64)
     if b.shape != (m.rows,):
         raise ShapeError(f"right-hand side of length {m.rows} required, got shape {b.shape}")
-    p = m.field.p
-    aug = np.concatenate([m.array, (b % p).reshape(-1, 1)], axis=1)
-    red, pivots = _row_reduce(aug, p)
+    aug = np.concatenate([m.array, b.reshape(-1, 1)], axis=1)
+    basis = RowBasis(m.field, m.cols + 1, aug)
+    pivots = basis._pivots[: basis.rank]
     if m.cols in pivots:  # a pivot in the rhs column
         raise SingularSystem("inconsistent right-hand side")
-    if len(pivots) < m.cols:
-        raise SingularSystem(f"matrix rank {len(pivots)} is below column count {m.cols}")
+    if basis.rank < m.cols:
+        raise SingularSystem(f"matrix rank {basis.rank} is below column count {m.cols}")
     w = np.zeros(m.cols, dtype=np.int64)
-    w[pivots] = red[:, -1]
+    w[pivots] = basis._rows[: basis.rank, -1]
     return w
 
 
 class RowBasis:
     """Incremental basis of a row space over GF(p), kept in reduced row
-    echelon form.
+    echelon form.  It is the one Gauss-Jordan reduction in this module:
+    ranks, solves and the randomized allocator's per-user spans all grow one.
 
-    ``extend`` reduces a batch of rows against the basis with one matmul,
-    eliminates what is left, and folds the new pivots back into the old
-    rows.  The randomized allocator keeps one per user as coded rows
-    accumulate.
+    Each new row is reduced against the basis with one matmul, pivoted on
+    its first nonzero entry, normalised, and folded into the old rows.
+    Rows are taken in order, so the pivots, the rows and their order are
+    those of eliminating the whole stack top to bottom.  The rows live in a
+    preallocated ``cols x cols`` buffer, the first ``rank`` of them in use.
     """
 
     def __init__(self, field: FieldSpec, cols: int, rows=()):
         self.field = field
         self.cols = cols
-        self._rows = np.zeros((0, cols), dtype=np.int64)
-        self._pivots = np.zeros(0, dtype=np.intp)
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size:
-            self.extend(rows)
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def _reduce(self, rows: np.ndarray) -> np.ndarray:
-        """``rows`` minus their projection on the basis: zero in every pivot
-        column, and all zero exactly for rows inside the span."""
-        p = self.field.p
-        rows = rows % p
-        if not self._pivots.size:
-            return rows
-        return (rows - rows[:, self._pivots] @ self._rows) % p
-
-    def extend(self, rows) -> int:
-        """Add the rows of a 2-D array; returns how much the rank grew."""
+        self.rank = 0
+        self._rows = np.zeros((cols, cols), dtype=np.int64)
+        self._pivots = np.zeros(cols, dtype=np.intp)
         x = np.asarray(rows, dtype=np.int64)
-        if x.ndim != 2 or x.shape[1] != self.cols:
-            raise ShapeError(f"rows of length {self.cols} required, got shape {x.shape}")
-        if self.rank == self.cols or not x.shape[0]:
-            return 0
-        p = self.field.p
-        new, pivots = _row_reduce(self._reduce(x), p)
-        if pivots:
-            old = self._rows
-            if old.shape[0]:
-                old = (old - old[:, pivots] @ new) % p
-            self._rows = np.concatenate([old, new])
-            self._pivots = np.concatenate([self._pivots, np.asarray(pivots, dtype=np.intp)])
-        return len(pivots)
+        if x.size:
+            if x.ndim != 2 or x.shape[1] != cols:
+                raise ShapeError(f"rows of length {cols} required, got shape {x.shape}")
+            for row in x % field.p:
+                if self.rank == cols:
+                    break
+                self._add(row)
 
     def add(self, row) -> bool:
         """Add one row; returns True if the rank grew."""
         v = np.asarray(row, dtype=np.int64)
         if v.shape != (self.cols,):
             raise ShapeError(f"row of length {self.cols} required")
-        return self.extend(v.reshape(1, -1)) > 0
+        return self.rank < self.cols and self._add(v % self.field.p)
+
+    def _add(self, v: np.ndarray) -> bool:
+        """Add a canonical row while the rank is below ``cols``."""
+        p, r = self.field.p, self.rank
+        rows = self._rows[:r]
+        v = v - v[self._pivots[:r]] @ rows
+        v %= p
+        nonzero = v.nonzero()[0]
+        if not nonzero.size:
+            return False
+        c = nonzero[0]
+        v = v * pow(int(v[c]), p - 2, p)
+        v %= p
+        rows -= rows[:, c, None] * v
+        rows %= p
+        self._rows[r] = v
+        self._pivots[r] = c
+        self.rank = r + 1
+        return True

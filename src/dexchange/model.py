@@ -98,16 +98,8 @@ class ProblemInstance:
         return len(self.observations)
 
     def sum_rate_floor(self) -> int:
-        """Lower bound on the minimum sum rate from the m singleton cuts.
-
-        User i must receive ``N - rank(A_i)`` rows from the others, so
-        ``R(M - i) >= N - rank(A_i)``; summed over i this bounds
-        ``(m - 1) R(M)``.  It takes m eliminations and no rank table.
-        """
-        if self.m == 1:
-            return 0
-        need = [self.n_packets - rank(obs) for obs in self.observations]
-        return max(max(need), -(-sum(need) // (self.m - 1)))
+        """:func:`singleton_floor` from m eliminations and no rank table."""
+        return singleton_floor(self.n_packets, [rank(obs) for obs in self.observations])
 
     @property
     def full_mask(self) -> int:
@@ -193,6 +185,17 @@ def instance_from_packet_sets(field: FieldSpec, n_packets: int, packet_sets) -> 
             rows[r, pkt] = 1
         mats.append(FMatrix(field, rows, cols=n_packets))
     return ProblemInstance(field, n_packets, tuple(mats))
+
+
+def singleton_floor(n_packets: int, user_ranks) -> int:
+    """Lower bound on the minimum sum rate from the m singleton cuts, given
+    each user's own rank.
+
+    User i must receive ``N - rank(A_i)`` rows from the others, so
+    ``R(M - i) >= N - rank(A_i)``; summed over i this bounds ``(m - 1) R(M)``.
+    """
+    need = [n_packets - r for r in user_ranks]
+    return max(max(need), -(-sum(need) // max(len(need) - 1, 1)))
 
 
 def preset_instance(name: str, q: int = 257) -> ProblemInstance:

@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import CutSetOracle, dilworth_value, members, subset_sums
+from .model import CutSetOracle, dilworth_value, members, singleton_floor, subset_sums
 from .sfm import GroundSet, min_pinned
 
 #: Slack in the slope test of :func:`optimal_budget`: the fairness cost
@@ -476,15 +476,19 @@ def min_cost(oracle, cost, caps=None) -> MinCostResult:
 
     The per-budget optimum is convex on the feasible range and its minimizer
     never exceeds the packet count, so one :func:`optimal_budget` search
-    over the fixed-budget optima :func:`eval_h` finds it.  Among equally
-    cheap budgets the fewest total transmissions win.
+    over the fixed-budget optima :func:`eval_h` finds it.  Budgets below the
+    singleton cut-set floor, read off the rank table, are infeasible and
+    never solved.  Among equally cheap budgets the fewest total
+    transmissions win.
     """
     inst = oracle.instance
     caps = _check_caps(caps, inst.m)
+    user_ranks = oracle.ranks[[1 << i for i in range(inst.m)]].tolist()
     beta_min, beta, (value, alloc) = optimal_budget(
         lambda b: eval_h(oracle, b, cost, caps),
         budget_ceiling(inst.n_packets, caps),
         hi_known=caps is None,
+        floor=singleton_floor(inst.n_packets, user_ranks),
     )
     return MinCostResult(beta, value, alloc, beta_min)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .gf import FieldSpec
 from .model import (
+    PRESETS,
     CutSetOracle,
     ProblemInstance,
     dilworth_value,
@@ -40,6 +41,22 @@ from .ratealloc import (
     subgrad_coordinate,
 )
 from .sfm import GroundSet, min_pinned
+
+
+#: Bound on the property suite's brute-force grid, ``(max_n + 1)^max_m``
+#: rate vectors against 2^max_m subsets in ``region_vectors``.  It also keeps
+#: max_m far below the 10 users the partition oracles enumerate.
+MAX_GRID_ENTRIES = 1 << 20
+
+#: Users of the demo instance the rlnc suite draws on; its success bound
+#: ``(1 - m/q)^beta`` says something only for fields larger than that.
+RLNC_USERS = len(PRESETS["example1"][1])
+
+
+def grid_fits(max_m: int, max_n: int) -> bool:
+    """Whether ``(max_n + 1)^max_m * 2^max_m`` is at most MAX_GRID_ENTRIES."""
+    # 2^max_m alone must fit, which keeps the power small.
+    return max_m < MAX_GRID_ENTRIES.bit_length() and (max_n + 1) ** max_m << max_m <= MAX_GRID_ENTRIES
 
 
 @dataclass

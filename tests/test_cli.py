@@ -638,6 +638,10 @@ def test_negative_seed_or_stream_exits_1(instance_file, tmp_path, capsys, argv):
         (["--max-m", "1"], "argument --max-m: must be at least 2"),
         (["--max-n", "1"], "argument --max-n: must be at least 2"),
         (["--suite", "rlnc", "--q", "4"], "bad --q: field order 4 is not prime"),
+        (["--suite", "rlnc", "--q", "2"], "bad --q: the rlnc suite needs a field order above its 3 users"),
+        (["--suite", "all", "--q", "3"], "bad --q: the rlnc suite needs a field order above its 3 users"),
+        (["--suite", "properties", "--max-m", "12", "--max-n", "40"], "exceeds 1048576"),
+        (["--suite", "all", "--max-m", "5", "--max-n", "8"], "bad --max-m/--max-n"),
     ],
 )
 def test_validate_rejects_out_of_range_options(capsys, argv, message):

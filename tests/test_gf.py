@@ -147,10 +147,115 @@ def test_row_basis_incremental_matches_batch_rank():
             expected = rank(FMatrix(f, a[: i + 1]))
             assert basis.rank == expected
             assert grew == (expected == before + 1)
-        # The same rows in two batches reach the same rank.
-        batched = RowBasis(f, 4, a[:3])
-        assert batched.extend(a[3:]) == basis.rank - rank(FMatrix(f, a[:3]))
-        assert batched.rank == basis.rank
+        # A basis built from the rows holds what adding them one by one does.
+        built = RowBasis(f, 4, a)
+        assert built.rank == basis.rank
+        assert np.array_equal(built._rows, basis._rows)
+        assert np.array_equal(built._pivots[: built.rank], basis._pivots[: basis.rank])
+
+
+def _reference_row_reduce(a, p):
+    """Batched Gauss-Jordan elimination as the package did it before every
+    reduction went through RowBasis: rows top to bottom, each reduced by the
+    pivots above it and pivoted on its first nonzero entry."""
+    a = a % p
+    pivots, keep = [], []
+    for r in range(a.shape[0]):
+        row = a[r]
+        c = int((row != 0).argmax())
+        if not row[c]:
+            continue
+        row = (row * pow(int(row[c]), p - 2, p)) % p
+        col = a[:, c : c + 1].copy()
+        col[r] = 0
+        a = (a - col * row) % p
+        a[r] = row
+        pivots.append(c)
+        keep.append(r)
+    return a[keep], pivots
+
+
+class _ReferenceBasis:
+    """The batch ``extend`` basis that RowBasis.add replaced."""
+
+    def __init__(self, p, cols):
+        self.p = p
+        self.rows = np.zeros((0, cols), dtype=np.int64)
+        self.pivots = []
+
+    def extend(self, x):
+        if len(self.pivots) == self.rows.shape[1] or not x.shape[0]:
+            return 0
+        x = x % self.p
+        if self.pivots:
+            x = (x - x[:, self.pivots] @ self.rows) % self.p
+        new, pivots = _reference_row_reduce(x, self.p)
+        if pivots:
+            old = self.rows
+            if old.shape[0]:
+                old = (old - old[:, pivots] @ new) % self.p
+            self.rows = np.concatenate([old, new])
+            self.pivots += pivots
+        return len(pivots)
+
+
+def _reference_solve(a, b, p):
+    red, pivots = _reference_row_reduce(np.concatenate([a, (b % p).reshape(-1, 1)], axis=1), p)
+    if a.shape[1] in pivots:
+        raise SingularSystem("inconsistent right-hand side")
+    if len(pivots) < a.shape[1]:
+        raise SingularSystem(f"matrix rank {len(pivots)} is below column count {a.shape[1]}")
+    w = np.zeros(a.shape[1], dtype=np.int64)
+    w[pivots] = red[:, -1]
+    return w
+
+
+@st.composite
+def systems(draw):
+    """A matrix over a small or large field (tall, wide or square, often rank
+    deficient through repeated or scaled rows) and a right-hand side, half
+    the time consistent."""
+    p = draw(st.sampled_from(SMALL_PRIMES + (17, 257)))
+    rows = draw(st.integers(0, 9))
+    cols = draw(st.integers(1, 7))
+    entries = st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols)
+    a = [draw(entries) for _ in range(rows)]
+    for i in range(rows):
+        if i and draw(st.integers(0, 3)) == 0:
+            k = draw(st.integers(0, p - 1))
+            a[i] = [(k * v) % p for v in a[draw(st.integers(0, i - 1))]]
+    a = np.array(a, dtype=np.int64).reshape(rows, cols)
+    if draw(st.booleans()):  # consistent: the image of some w
+        b = a @ np.array(draw(entries), dtype=np.int64) % p
+    else:
+        b = np.array(draw(st.lists(st.integers(0, p - 1), min_size=rows, max_size=rows)))
+    return p, a, b.astype(np.int64)
+
+
+@given(systems(), st.integers(0, 9))
+@settings(max_examples=300, deadline=None)
+def test_row_basis_matches_the_batched_reference(system, split):
+    p, a, b = system
+    f = FieldSpec(p)
+    cols = a.shape[1]
+    # One row at a time on top of a basis built from the first rows.
+    basis, ref = RowBasis(f, cols, a[:split]), _ReferenceBasis(p, cols)
+    ref.extend(a[:split])
+    for row in a[split:]:
+        assert basis.add(row) == (ref.extend(row.reshape(1, -1)) > 0)
+        assert basis.rank == len(ref.pivots)
+        assert np.array_equal(basis._rows[: basis.rank], ref.rows)
+        assert list(basis._pivots[: basis.rank]) == ref.pivots
+    m = FMatrix(f, a, cols=cols)
+    assert rank(m) == len(_reference_row_reduce(a, p)[1])
+    try:
+        expected = _reference_solve(a, b, p)
+    except SingularSystem as exc:
+        with pytest.raises(SingularSystem) as got:
+            solve_full_rank(m, b)
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(solve_full_rank(m, b), expected)
 
 
 def test_is_prime_small_values():

@@ -356,6 +356,42 @@ def test_min_cost_matches_the_two_bisection_search(seed):
                 assert min_cost(oracle, cost, caps) == want
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_min_cost_solves_no_budget_below_the_singleton_floor(seed, monkeypatch):
+    # Budgets below the floor are infeasible, so skipping them must leave
+    # every result and message as it is with the floor forced to 0.
+    import dexchange.ratealloc as ratealloc
+
+    probed = []
+    real_eval_h = ratealloc.eval_h
+    monkeypatch.setattr(
+        ratealloc, "eval_h", lambda oracle, b, *a: probed.append(b) or real_eval_h(oracle, b, *a)
+    )
+
+    def solve(oracle, cost, caps):
+        probed.clear()
+        try:
+            return min_cost(oracle, cost, caps), min(probed)
+        except Infeasible as exc:
+            return (str(exc), exc.beta), min(probed, default=None)
+
+    rng = np.random.default_rng(seed)
+    skipped = 0
+    for inst in suite_instances(count=30, seed=seed, max_m=5, max_n=7):
+        oracle = CutSetOracle(inst)
+        floor = inst.sum_rate_floor()
+        for cost in _suite_costs(inst, rng):
+            for caps in (None, _random_caps(inst, rng)):
+                got, lowest = solve(oracle, cost, caps)
+                assert lowest is None or lowest >= floor
+                with monkeypatch.context() as patch:
+                    patch.setattr(ratealloc, "singleton_floor", lambda n, ranks: 0)
+                    want, lowest = solve(oracle, cost, caps)
+                assert got == want
+                skipped += lowest < floor
+    assert skipped > 50
+
+
 def test_h_is_convex_on_feasible_budgets(demo_oracle):
     for cost in (LinearCost((1, 3, 2)), FairCost()):
         values = [eval_h(demo_oracle, b, cost)[0] for b in range(5, 7)]
