@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 
@@ -60,6 +61,7 @@ from .validate import (
     MAX_GRID_ENTRIES,
     RLNC_USERS,
     grid_fits,
+    rlnc_pass_mark,
     run_properties,
     run_reference_examples,
     run_rlnc_stats,
@@ -143,7 +145,7 @@ def _load_schedule(path: str, inst: ProblemInstance) -> TransmissionSchedule:
     return schedule
 
 
-def _cost_from_args(args, m: int):
+def _cost_from_args(args, m: int, n_packets: int):
     if args.cost == "linear":
         if args.weights is None:
             raise SystemExit("--cost linear requires --weights")
@@ -159,11 +161,24 @@ def _cost_from_args(args, m: int):
         raise SystemExit("--cost table requires --table FILE")
     try:
         with open(args.table, "r", encoding="utf-8") as f:
-            cost = TableCost(json.load(f))
-    except (OSError, ValueError, TypeError, RecursionError) as exc:
+            derivs = json.load(f)
+    except (OSError, ValueError, RecursionError) as exc:
         raise SystemExit(f"bad table file: {exc}")
-    if len(cost.derivs) != m:
-        raise SystemExit(f"bad table file: {m} increment tables required")
+    # type() rather than isinstance: JSON booleans are ints to Python.
+    if not (
+        isinstance(derivs, list)
+        and len(derivs) == m
+        and all(isinstance(d, list) and d and all(type(v) in (int, float) for v in d) for d in derivs)
+    ):
+        raise SystemExit(f"bad table file: a list of {m} non-empty lists of numbers required")
+    try:
+        cost = TableCost(derivs)
+        # Costs only grow with the rates, so this total bounds every cost reported.
+        finite = math.isfinite(sum(cost.value(i, n_packets) for i in range(m)))
+    except (ValueError, OverflowError) as exc:
+        raise SystemExit(f"bad table file: {exc}")
+    if not finite:
+        raise SystemExit(f"bad table file: the cost of {n_packets} symbols from every user is not finite")
     return cost
 
 
@@ -198,7 +213,7 @@ def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     inst = _load(args.instance)
     oracle = CutSetOracle(inst)
-    cost = _cost_from_args(args, inst.m)
+    cost = _cost_from_args(args, inst.m, inst.n_packets)
     try:
         caps = _check_caps(args.caps, inst.m)
     except ValueError as exc:
@@ -420,8 +435,16 @@ def cmd_validate(args) -> int:
         FieldSpec(args.q)
     except ValueError as exc:
         raise SystemExit(f"bad --q: {exc}")
-    if args.suite in ("rlnc", "all") and args.q <= RLNC_USERS:
-        raise SystemExit(f"bad --q: the rlnc suite needs a field order above its {RLNC_USERS} users")
+    rlnc_trials = args.trials if args.suite == "rlnc" else 400
+    if args.suite in ("rlnc", "all"):
+        if args.q <= RLNC_USERS:
+            raise SystemExit(f"bad --q: the rlnc suite needs a field order above its {RLNC_USERS} users")
+        floor = rlnc_pass_mark(args.q, rlnc_trials)[1]
+        if floor <= 0:
+            raise SystemExit(
+                f"bad --q/--trials: the rlnc pass mark at q={args.q} over {rlnc_trials} trials"
+                f" is {floor:.3f}, not above 0"
+            )
     if args.suite in ("properties", "all") and not grid_fits(args.max_m, args.max_n):
         raise SystemExit(f"bad --max-m/--max-n: (max_n + 1)^max_m * 2^max_m exceeds {MAX_GRID_ENTRIES}")
     results = []
@@ -430,7 +453,7 @@ def cmd_validate(args) -> int:
     if args.suite in ("paper-examples", "all"):
         results += run_reference_examples()
     if args.suite in ("rlnc", "all"):
-        results.append(run_rlnc_stats(args.q, args.trials if args.suite == "rlnc" else 400, args.seed))
+        results.append(run_rlnc_stats(args.q, rlnc_trials, args.seed))
     failures = [r for r in results if not r.ok]
     payload = {
         "checks": len(results),

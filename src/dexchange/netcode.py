@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec, FMatrix, RowBasis, rank, solve_full_rank
+from .gf import FieldSpec, FMatrix, RowBasis, SingularSystem, rank, solve_full_rank
 from .model import MAX_TABLE_USERS, CutSetOracle, ProblemInstance, in_cut_set_region
 from .ratealloc import Allocation, _check_caps, allocate_rounds
 
@@ -321,7 +321,10 @@ def decode(
         raise ValueError(f"expected {len(schedule.entries)} received values")
     combos = FMatrix(instance.field, schedule.combo_rows(), cols=instance.n_packets)
     stacked = FMatrix.vstack(instance.field, [obs, combos], cols=instance.n_packets)
-    if rank(stacked) < instance.n_packets:
-        raise NotDecodable(f"user {user} cannot reconstruct the file from this schedule")
     rhs = np.concatenate([observed, received]) % instance.field.p
-    return solve_full_rank(stacked, rhs)
+    try:
+        return solve_full_rank(stacked, rhs)
+    except SingularSystem:
+        if rank(stacked) < instance.n_packets:
+            raise NotDecodable(f"user {user} cannot reconstruct the file from this schedule") from None
+        raise

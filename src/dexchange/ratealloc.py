@@ -11,6 +11,7 @@ polytope:
   giving the unit to the cheapest user whose increment stays inside the
   polytope (optimal for any separable convex non-decreasing cost), through
   the round driver :func:`allocate_rounds` that the randomized solver shares.
+  Each round's :func:`transmit_set` is one pass over the rank table.
 * :func:`min_cost` searches the budget axis once, with
   :func:`optimal_budget`, using the convexity of the per-budget optimum.
 
@@ -30,6 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .model import CutSetOracle, dilworth_value, members, singleton_floor, subset_sums
 from .sfm import GroundSet, min_pinned
@@ -360,34 +363,23 @@ def increment_headroom(oracle, beta, rates, user, minimizer=sfm_minimizer) -> in
     return minimizer(oracle, beta, rates, GroundSet(free, user)) - rates[user]
 
 
-def headrooms(oracle, beta, rates) -> list[int]:
-    """:func:`increment_headroom` of every user at once, from the rank table.
+def transmit_set(oracle, beta, rates, minimizer=sfm_minimizer) -> list[int]:
+    """Users whose rate may grow by one unit without leaving the polytope.
 
-    With ``g(U) = f_beta(U) - R(U)``, user i's headroom is the minimum of g
-    over the masks U that contain i, so one array of g per call serves all
-    users.
+    The default engine takes one pass over the rank table: with
+    ``g(U) = f_beta(U) - R(U) = beta - N + rank(U) - R(U)``, user i may send
+    exactly when no nonempty U holding i has g(U) <= 0.  Other engines are
+    asked once per user.
     """
     if beta < 0:
         raise ValueError("budget must be non-negative")
     inst = oracle.instance
-    m = inst.m
-    # f(U) = beta - N + rank(U) on every nonempty U (rank of the full set is N).
+    if minimizer is not sfm_minimizer:
+        return [i for i in range(inst.m) if increment_headroom(oracle, beta, rates, i, minimizer) >= 1]
     g = beta - inst.n_packets + oracle.ranks - subset_sums(rates)
-    return [int(g.reshape(-1, 2, 1 << i)[:, 1, :].min()) for i in range(m)]
-
-
-def transmit_set(oracle, beta, rates, minimizer=sfm_minimizer) -> list[int]:
-    """Users whose rate may grow by one unit without leaving the polytope.
-
-    The default engine reads all headrooms off the rank table at once; any
-    other engine is asked once per user.
-    """
-    m = oracle.instance.m
-    if minimizer is sfm_minimizer:
-        room = headrooms(oracle, beta, rates)
-    else:
-        room = [increment_headroom(oracle, beta, rates, i, minimizer) for i in range(m)]
-    return [i for i in range(m) if room[i] >= 1]
+    # The union of the blocking masks; mask 0, whose g is not f - R, adds nobody.
+    blocked = int(np.bitwise_or.reduce(np.flatnonzero(g <= 0)))
+    return [i for i in range(inst.m) if not (blocked >> i) & 1]
 
 
 def allocate_rounds(m, beta, cost, transmit, caps=None, step=None) -> Allocation:

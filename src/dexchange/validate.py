@@ -48,9 +48,18 @@ from .sfm import GroundSet, min_pinned
 #: max_m far below the 10 users the partition oracles enumerate.
 MAX_GRID_ENTRIES = 1 << 20
 
-#: Users of the demo instance the rlnc suite draws on; its success bound
-#: ``(1 - m/q)^beta`` says something only for fields larger than that.
+#: Users of the demo instance the rlnc suite draws on, and the budget it
+#: draws at; its success bound ``(1 - m/q)^beta`` says something only for
+#: fields larger than m.
 RLNC_USERS = len(PRESETS["example1"][1])
+RLNC_BETA = 5
+
+
+def rlnc_pass_mark(q: int, trials: int) -> tuple[float, float]:
+    """The rlnc check's success bound p0 on the demo instance over GF(q),
+    q above RLNC_USERS, and its pass mark p0 - 3 sigma over ``trials`` runs."""
+    p0 = (1 - RLNC_USERS / q) ** RLNC_BETA
+    return p0, p0 - 3 * math.sqrt(p0 * (1 - p0) / trials)
 
 
 def grid_fits(max_m: int, max_n: int) -> bool:
@@ -405,18 +414,15 @@ def run_rlnc_stats(q=19, trials=1000, seed=0) -> CheckResult:
     demo instance, against the field-size success bound minus three sigmas."""
     inst = preset_instance("example1", q=q)
     oracle = CutSetOracle(inst)
-    beta = 5
     decoded = 0
     for stream in range(trials):
         try:
-            _, _, report = randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed, stream))
+            _, _, report = randomized_alloc(oracle, RLNC_BETA, FairCost(), rng=RngSpec(seed, stream))
         except Infeasible:
             continue
         decoded += report.all_ok
     rate = decoded / trials
-    p0 = (1 - inst.m / q) ** beta
-    sigma = math.sqrt(p0 * (1 - p0) / trials)
-    floor = p0 - 3 * sigma
+    p0, floor = rlnc_pass_mark(q, trials)
     return CheckResult(
         f"rlnc/q{q}",
         rate >= floor,

@@ -542,8 +542,34 @@ def test_instance_file_that_is_not_json_exits_1(tmp_path, capsys, cmd, blob):
 
 @pytest.mark.parametrize(
     "tables",
-    ["[[NaN, 1], [1, 1], [1, 1]]", "[[1, Infinity], [1], [1]]", "[[1, 1]]", "[1, 2, 3]"],
-    ids=["nan", "inf", "too-few-tables", "not-tables"],
+    [
+        "[[NaN, 1], [1, 1], [1, 1]]",
+        "[[1, Infinity], [1], [1]]",
+        "[[1, 1]]",
+        "[1, 2, 3]",
+        "[[true, true], [1], [1]]",
+        '{"a": 1}',
+        '"abc"',
+        '[[1], ["x"], [1]]',
+        "[[1], [], [1]]",
+        "[[1e308, 1e308], [1e308], [1e308]]",
+        "[[2.5e307], [2.5e307], [2.5e307]]",
+        "[[1], [1" + "0" * 400 + "], [1]]",
+    ],
+    ids=[
+        "nan",
+        "inf",
+        "too-few-tables",
+        "not-tables",
+        "bool",
+        "object",
+        "string",
+        "string-entry",
+        "empty-table",
+        "cost-overflows",
+        "total-overflows",
+        "huge-int",
+    ],
 )
 def test_solve_rejects_bad_table_file(instance_file, tmp_path, capsys, tables):
     table = tmp_path / "cost.json"
@@ -552,6 +578,17 @@ def test_solve_rejects_bad_table_file(instance_file, tmp_path, capsys, tables):
     assert code == 1
     assert report is None
     assert "bad table file" in err
+
+
+def test_solve_table_file_large_finite_costs(instance_file, tmp_path, capsys):
+    # Increments whose total cost stays finite are accepted, and the budget
+    # search still finds the minimum sum rate 5.
+    table = tmp_path / "cost.json"
+    table.write_text("[[1e306], [1e306], [1e306]]")
+    code, report, _ = run(capsys, "solve", instance_file, "--cost", "table", "--table", str(table))
+    assert code == 0
+    assert report["payload"]["min_sum_rate"] == 5
+    assert report["payload"]["cost"] == 5e306
 
 
 @pytest.mark.parametrize("retries", ["0", "-1"])
@@ -642,6 +679,10 @@ def test_negative_seed_or_stream_exits_1(instance_file, tmp_path, capsys, argv):
         (["--suite", "all", "--q", "3"], "bad --q: the rlnc suite needs a field order above its 3 users"),
         (["--suite", "properties", "--max-m", "12", "--max-n", "40"], "exceeds 1048576"),
         (["--suite", "all", "--max-m", "5", "--max-n", "8"], "bad --max-m/--max-n"),
+        (["--suite", "rlnc", "--q", "5"], "bad --q/--trials: the rlnc pass mark at q=5 over 50 trials"),
+        (["--suite", "rlnc", "--q", "7"], "bad --q/--trials: the rlnc pass mark at q=7 over 50 trials"),
+        (["--suite", "all", "--q", "5"], "bad --q/--trials: the rlnc pass mark at q=5 over 400 trials"),
+        (["--suite", "rlnc", "--q", "19", "--trials", "5"], "not above 0"),
     ],
 )
 def test_validate_rejects_out_of_range_options(capsys, argv, message):

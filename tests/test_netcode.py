@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dexchange.gf import FieldSpec
+from dexchange.gf import FieldSpec, SingularSystem
 from dexchange.model import CutSetOracle, generate_instance, preset_instance
 from dexchange.netcode import (
     ConstructionFailed,
@@ -289,6 +289,28 @@ def test_decode_without_enough_information(demo):
     empty = TransmissionSchedule(257, 6, ())
     with pytest.raises(NotDecodable):
         decode(demo, 0, empty, demo.observe(0, np.zeros(6, dtype=int)), [])
+
+
+@pytest.mark.parametrize("offset", [0, 1], ids=["consistent", "inconsistent"])
+def test_decode_rank_deficient_stack_is_not_decodable(demo, offset):
+    # A broadcast inside user 0's own span adds no rank, so the stack stays
+    # deficient whether or not its received value agrees with the rows.
+    w = np.arange(6)
+    own = tuple(int(v) for v in demo.observations[0].array[0])
+    schedule = TransmissionSchedule(257, 6, (ScheduleEntry(1, 0, (1,), own),))
+    received = (transmit_values(schedule, w) + offset) % 257
+    with pytest.raises(NotDecodable):
+        decode(demo, 0, schedule, demo.observe(0, w), received)
+
+
+def test_decode_full_rank_inconsistent_stack_is_singular():
+    inst = generate_instance("coded", 1, 3, FieldSpec(257), coverage=(3,), seed=2)
+    w = np.array([7, 8, 9])
+    own = tuple(int(v) for v in inst.observations[0].array[0])
+    schedule = TransmissionSchedule(257, 3, (ScheduleEntry(1, 0, (1, 0, 0), own),))
+    received = (transmit_values(schedule, w) + 1) % 257
+    with pytest.raises(SingularSystem, match="inconsistent right-hand side"):
+        decode(inst, 0, schedule, inst.observe(0, w), received)
 
 
 def test_decode_full_rank_user_needs_no_schedule():

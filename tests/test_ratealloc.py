@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexchange.gf import FieldSpec
 from dexchange.model import CutSetOracle, generate_instance, in_cut_set_region, instance_from_packet_sets
@@ -16,12 +18,12 @@ from dexchange.ratealloc import (
     cheapest_increment,
     convex_alloc,
     eval_h,
-    headrooms,
     increment_headroom,
     min_cost,
     min_sum_rate,
     modified_edmonds,
     restriction_value,
+    sfm_minimizer,
     subgrad_coordinate,
     subgradient_minimizer,
     transmit_set,
@@ -221,22 +223,21 @@ def test_transmit_set_shrinks_as_rates_grow(demo_oracle):
 
 
 def test_batched_transmit_set_matches_per_user_headroom():
-    # The table-wide headrooms of the default engine against one coordinate
-    # minimization per user by the subgradient engine, along the rounds of
-    # an incremental allocation at a feasible budget.
-    subgradient = subgradient_minimizer()
+    # The one-pass transmit set of the default engine against one coordinate
+    # minimization per user by either engine, along the rounds of an
+    # incremental allocation at a feasible budget.
+    engines = (sfm_minimizer, subgradient_minimizer())
     for kind, q, seed in (("raw", 257, 0), ("raw", 257, 4), ("coded", 3, 1), ("coded", 257, 2)):
         inst = generate_instance(kind, 3, 4, FieldSpec(q), seed=seed)
         oracle = CutSetOracle(inst)
         beta = min_sum_rate(oracle) + 1
         rates = [0] * inst.m
         for _ in range(beta + 1):
-            room = headrooms(oracle, beta, rates)
-            assert room == [increment_headroom(oracle, beta, rates, i, subgradient) for i in range(inst.m)]
-            assert all(type(r) is int for r in room)
             eligible = transmit_set(oracle, beta, rates)
-            assert eligible == [i for i in range(inst.m) if room[i] >= 1]
-            assert transmit_set(oracle, beta, rates, subgradient) == eligible
+            for engine in engines:
+                per_user = [i for i in range(inst.m) if increment_headroom(oracle, beta, rates, i, engine) >= 1]
+                assert eligible == per_user
+                assert transmit_set(oracle, beta, rates, engine) == eligible
             if not eligible:
                 break
             rates[cheapest_increment(FairCost(), rates, eligible)] += 1
@@ -244,6 +245,39 @@ def test_batched_transmit_set_matches_per_user_headroom():
         # The shared round driver fed the polytope transmit set is convex_alloc.
         driven = allocate_rounds(inst.m, beta, FairCost(), lambda r: transmit_set(oracle, beta, r))
         assert driven == convex_alloc(oracle, beta, FairCost()) and driven.rates == tuple(rates)
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.sampled_from((2, 3, 5, 257)),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_one_pass_transmit_set_matches_min_pinned(kind, m, n, q, data):
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=data.draw(st.integers(0, 2**31 - 1)))
+    oracle = CutSetOracle(inst)
+    beta = data.draw(st.integers(0, n + 2))
+    rates = data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    if data.draw(st.booleans()) and beta >= min_sum_rate(oracle):
+        # Below a vertex of the down-closed polytope, hence inside it.
+        vertex = modified_edmonds(oracle, beta, (1,) * m).rates
+        rates = [max(0, v - d) for v, d in zip(vertex, rates)]
+    full = inst.full_mask
+    want = [i for i in range(m) if min_pinned(oracle, beta, rates, GroundSet(full & ~(1 << i), i)) > rates[i]]
+    assert transmit_set(oracle, beta, rates) == want
+
+
+def test_transmit_set_single_user_and_negative_budget():
+    # One user holds the whole file, so its cut is f_beta({0}) = beta.
+    oracle = CutSetOracle(generate_instance("raw", 1, 3, FieldSpec(2), seed=0))
+    for beta in range(6):
+        for r in range(6):
+            assert transmit_set(oracle, beta, [r]) == ([0] if r < beta else [])
+    for engine in (sfm_minimizer, subgradient_minimizer()):
+        with pytest.raises(ValueError, match="non-negative"):
+            transmit_set(oracle, -1, [0], engine)
 
 
 # ---------------------------------------------------------------------------
