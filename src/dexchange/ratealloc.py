@@ -11,7 +11,8 @@ polytope:
   giving the unit to the cheapest user whose increment stays inside the
   polytope (optimal for any separable convex non-decreasing cost), through
   the round driver :func:`allocate_rounds` that the randomized solver shares.
-  Each round's :func:`transmit_set` is one pass over the rank table.
+  The slack g(U) = f_beta(U) - R(U) over the rank table and the next-unit
+  costs are kept across rounds; a round updates them for the chosen user.
 * :func:`min_cost` searches the budget axis once, with
   :func:`optimal_budget`, using the convexity of the per-budget optimum.
 
@@ -133,19 +134,6 @@ class TableCost:
         head = sum(d[: min(r, len(d))])
         extra = max(0, r - len(d))
         return head + extra * d[-1]
-
-
-def cheapest_increment(cost, rates, candidates) -> int:
-    """Candidate with the smallest next-unit cost; exact ties by user index."""
-    best = None
-    best_d = None
-    for i in candidates:
-        d = cost.deriv(i, rates[i] + 1)
-        if best is None or d < best_d:
-            best, best_d = i, d
-    if best is None:
-        raise ValueError("no candidates")
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -366,20 +354,23 @@ def increment_headroom(oracle, beta, rates, user, minimizer=sfm_minimizer) -> in
 def transmit_set(oracle, beta, rates, minimizer=sfm_minimizer) -> list[int]:
     """Users whose rate may grow by one unit without leaving the polytope.
 
-    The default engine takes one pass over the rank table: with
-    ``g(U) = f_beta(U) - R(U) = beta - N + rank(U) - R(U)``, user i may send
-    exactly when no nonempty U holding i has g(U) <= 0.  Other engines are
-    asked once per user.
+    The default engine takes one pass over the rank table (:func:`_unblocked`
+    on ``g = beta - N + rank - R``).  Other engines are asked once per user.
     """
     if beta < 0:
         raise ValueError("budget must be non-negative")
     inst = oracle.instance
     if minimizer is not sfm_minimizer:
         return [i for i in range(inst.m) if increment_headroom(oracle, beta, rates, i, minimizer) >= 1]
-    g = beta - inst.n_packets + oracle.ranks - subset_sums(rates)
-    # The union of the blocking masks; mask 0, whose g is not f - R, adds nobody.
+    return _unblocked(beta - inst.n_packets + oracle.ranks - subset_sums(rates), inst.m)
+
+
+def _unblocked(g, m) -> list[int]:
+    """The one-pass transmit set: with ``g(U) = f_beta(U) - R(U)``, user i may
+    send exactly when no nonempty U holding i has g(U) <= 0.  Mask 0, whose g
+    is not f - R, holds no user, so it adds nobody to the blocking union."""
     blocked = int(np.bitwise_or.reduce(np.flatnonzero(g <= 0)))
-    return [i for i in range(inst.m) if not (blocked >> i) & 1]
+    return [i for i in range(m) if not (blocked >> i) & 1]
 
 
 def allocate_rounds(m, beta, cost, transmit, caps=None, step=None) -> Allocation:
@@ -387,11 +378,13 @@ def allocate_rounds(m, beta, cost, transmit, caps=None, step=None) -> Allocation
 
     Each of the ``beta`` rounds asks ``transmit(rates)`` which users may
     send, keeps those still under their cap, records them in ``tsets``, and
-    gives the unit to the cheapest (ties by index), after announcing
-    it to ``step(user)`` when given.  An empty eligible set raises
-    :class:`Infeasible` carrying the number of completed rounds.
+    gives the unit to the cheapest (ties by index), after announcing it to
+    ``step(user)`` when given.  The m next-unit costs are kept: the cost is
+    separable, so a round recomputes only the chosen user's.  An empty
+    eligible set raises :class:`Infeasible` with the completed rounds.
     """
     rates = [0] * m
+    nxt = [cost.deriv(i, 1) for i in range(m)]
     tsets = []
     for rnd in range(1, beta + 1):
         eligible = [i for i in transmit(rates) if caps is None or rates[i] < caps[i]]
@@ -403,10 +396,11 @@ def allocate_rounds(m, beta, cost, transmit, caps=None, step=None) -> Allocation
                 rounds_completed=rnd - 1,
             )
         tsets.append(tuple(eligible))
-        user = cheapest_increment(cost, rates, eligible)
+        user = min(eligible, key=nxt.__getitem__)
         if step is not None:
             step(user)
         rates[user] += 1
+        nxt[user] = cost.deriv(user, rates[user] + 1)
     return Allocation(tuple(rates), beta, tsets=tuple(tsets))
 
 
@@ -433,9 +427,15 @@ def convex_alloc(oracle, beta, cost, caps=None, minimizer=sfm_minimizer) -> Allo
             achieved_sum=0,
             rounds_completed=0,
         )
-    return allocate_rounds(
-        m, beta, cost, lambda rates: transmit_set(oracle, beta, rates, minimizer), caps
-    )
+    if minimizer is not sfm_minimizer:
+        return allocate_rounds(m, beta, cost, lambda r: transmit_set(oracle, beta, r, minimizer), caps)
+    g = beta - inst.n_packets + oracle.ranks  # f_beta - R at R = 0, kept across rounds
+
+    def step(user):
+        # Bit ``user`` of a mask is the middle axis: [:, 1, :] is every mask holding it.
+        g.reshape(-1, 2, 1 << user)[:, 1, :] -= 1
+
+    return allocate_rounds(m, beta, cost, lambda rates: _unblocked(g, m), caps, step)
 
 
 def eval_h(oracle, beta, cost, caps=None, minimizer=sfm_minimizer):

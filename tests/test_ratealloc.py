@@ -15,7 +15,6 @@ from dexchange.ratealloc import (
     MinCostResult,
     TableCost,
     allocate_rounds,
-    cheapest_increment,
     convex_alloc,
     eval_h,
     increment_headroom,
@@ -65,13 +64,23 @@ def test_table_cost_validation_and_tail():
     assert c.deriv(0, 4) == 3
 
 
-def test_cheapest_increment_tie_by_index():
-    c = FairCost()
-    assert cheapest_increment(c, [0, 0, 0], [1, 2]) == 1
-    assert cheapest_increment(c, [1, 0, 1], [0, 1, 2]) == 1
+def test_allocate_rounds_cheapest_tie_by_index():
+    # A fixed transmit set, so only the driver's choice of user is checked.
+    def picks(m, beta, cost, tset):
+        chosen = []
+        allocate_rounds(m, beta, cost, lambda rates: tset, step=chosen.append)
+        return chosen
+
+    assert picks(3, 1, FairCost(), [1, 2]) == [1]
+    # Equal rates tie, so the users take turns in index order.
+    assert picks(3, 5, FairCost(), [0, 1, 2]) == [0, 1, 2, 0, 1]
+    # Only the chosen user's cached next-unit cost moves.
+    assert picks(2, 4, TableCost([[1, 3], [2]]), [0, 1]) == [0, 1, 1, 1]
+    assert picks(2, 4, TableCost([[1, 3, 4], [3]]), [0, 1]) == [0, 0, 1, 1]
     # Increments are compared exactly: a gap far below any float tolerance
     # still decides, and only an exact tie falls back to the user index.
-    assert cheapest_increment(TableCost([[1.0 + 1e-13], [1.0]]), [0, 0], [0, 1]) == 1
+    assert picks(2, 1, TableCost([[1.0 + 1e-13], [1.0]]), [0, 1]) == [1]
+    assert picks(2, 1, TableCost([[1.0], [1.0]]), [0, 1]) == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +240,19 @@ def test_batched_transmit_set_matches_per_user_headroom():
         inst = generate_instance(kind, 3, 4, FieldSpec(q), seed=seed)
         oracle = CutSetOracle(inst)
         beta = min_sum_rate(oracle) + 1
-        rates = [0] * inst.m
-        for _ in range(beta + 1):
+
+        def checked(rates):
             eligible = transmit_set(oracle, beta, rates)
             for engine in engines:
                 per_user = [i for i in range(inst.m) if increment_headroom(oracle, beta, rates, i, engine) >= 1]
                 assert eligible == per_user
                 assert transmit_set(oracle, beta, rates, engine) == eligible
-            if not eligible:
-                break
-            rates[cheapest_increment(FairCost(), rates, eligible)] += 1
-        assert sum(rates) == beta
+            return eligible
+
         # The shared round driver fed the polytope transmit set is convex_alloc.
-        driven = allocate_rounds(inst.m, beta, FairCost(), lambda r: transmit_set(oracle, beta, r))
-        assert driven == convex_alloc(oracle, beta, FairCost()) and driven.rates == tuple(rates)
+        driven = allocate_rounds(inst.m, beta, FairCost(), checked)
+        assert driven == convex_alloc(oracle, beta, FairCost())
+        checked(list(driven.rates))  # and the sets agree past the last round
 
 
 @given(
@@ -278,6 +286,53 @@ def test_transmit_set_single_user_and_negative_budget():
     for engine in (sfm_minimizer, subgradient_minimizer()):
         with pytest.raises(ValueError, match="non-negative"):
             transmit_set(oracle, -1, [0], engine)
+    # The incremental rounds on one user: g has two masks, stepped as (1, 2, 1).
+    for beta in range(6):
+        alloc = convex_alloc(oracle, beta, FairCost())
+        assert (alloc.rates, alloc.tsets) == ((beta,), ((0,),) * beta)
+        if beta:
+            with pytest.raises(Infeasible, match=f"round {beta}:"):
+                convex_alloc(oracle, beta, FairCost(), caps=(beta - 1,))
+
+
+def _outcome(run):
+    """The Allocation ``run()`` returns, or the message and fields of its Infeasible."""
+    try:
+        return run()
+    except Infeasible as exc:
+        return (str(exc), exc.beta, exc.achieved_sum, exc.rounds_completed)
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.sampled_from((2, 3, 5, 257)),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_incremental_convex_alloc_matches_per_round_transmit_set(kind, m, n, q, data):
+    # convex_alloc keeps g and the next-unit costs across rounds; the
+    # reference rebuilds the one-pass transmit set from the rates each round.
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=data.draw(st.integers(0, 2**31 - 1)))
+    oracle = CutSetOracle(inst)
+    need = n - int(oracle.ranks[[1 << i for i in range(m)]].min())
+    increments = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(sorted)
+    costs = (
+        FairCost(),
+        TableCost(data.draw(st.lists(increments, min_size=m, max_size=m))),  # repeated increments tie
+        TableCost([[1]] * (m - 1) + [[0]]),  # the top user (widest reshape stride) wins when eligible
+    )
+    random_caps = tuple(data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m)))
+    for cost in costs:
+        for caps in (None, random_caps):
+            for beta in range(n + 3):
+                got = _outcome(lambda: convex_alloc(oracle, beta, cost, caps))
+                if beta < need:  # the start check: the zero vector is outside the polytope
+                    assert isinstance(got, tuple) and got[1:] == (beta, 0, 0)
+                    continue
+                want = _outcome(lambda: allocate_rounds(m, beta, cost, lambda r: transmit_set(oracle, beta, r), caps))
+                assert got == want
 
 
 # ---------------------------------------------------------------------------
