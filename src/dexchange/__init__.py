@@ -50,12 +50,10 @@ from .ratealloc import (
     TableCost,
     convex_alloc,
     eval_h,
-    increment_headroom,
     min_cost,
     min_sum_rate,
     modified_edmonds,
     restriction_value,
-    sfm_minimizer,
     subgrad_coordinate,
     subgradient_minimizer,
     transmit_set,

@@ -74,8 +74,8 @@ EXIT_CONSTRUCTION = 3
 EXIT_DECODE = 4
 EXIT_PROPERTY = 5
 
-#: Bound on --beta and --rates, exclusive: the rank-table engines do their
-#: arithmetic in int64.
+#: Stride between the RNG streams of successive randomized attempts; every
+#: budget the CLI accepts (at most m*N) lies below it.
 MAX_BUDGET = 1 << 62
 
 
@@ -218,8 +218,11 @@ def cmd_solve(args) -> int:
         caps = _check_caps(args.caps, inst.m)
     except ValueError as exc:
         raise SystemExit(f"bad --caps: {exc}")
-    if args.beta is not None and not 0 <= args.beta < MAX_BUDGET:
-        raise SystemExit(f"--beta must lie in [0, {MAX_BUDGET})")
+    # A user's broadcasts combine its own rows, so at most N are independent:
+    # no useful total exceeds m*N, and the rounds and draws work per unit.
+    top = inst.m * inst.n_packets
+    if args.beta is not None and not 0 <= args.beta <= top:
+        raise SystemExit(f"--beta must lie in [0, m*N = {top}]")
     if args.max_retries < 1:
         raise SystemExit("--max-retries must be at least 1")
     try:
@@ -317,8 +320,9 @@ def cmd_code(args) -> int:
         raise SystemExit(f"--rates must list {inst.m} values")
     if min(args.rates) < 0:
         raise SystemExit("--rates must be non-negative")
-    if max(args.rates) >= MAX_BUDGET:
-        raise SystemExit(f"--rates must lie below {MAX_BUDGET}")
+    top = inst.m * inst.n_packets  # as for solve --beta
+    if sum(args.rates) > top:
+        raise SystemExit(f"--rates must sum to at most m*N = {top}")
     if args.max_retries < 1:
         raise SystemExit("--max-retries must be at least 1")
     checked = inst.m <= MAX_TABLE_USERS

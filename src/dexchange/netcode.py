@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf import FieldSpec, FMatrix, RowBasis, SingularSystem, rank, solve_full_rank
+from .gf import FMatrix, RowBasis, SingularSystem, rank, solve_full_rank
 from .model import MAX_TABLE_USERS, CutSetOracle, ProblemInstance, in_cut_set_region
 from .ratealloc import Allocation, _check_caps, allocate_rounds
 

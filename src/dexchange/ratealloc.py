@@ -16,12 +16,14 @@ polytope:
 * :func:`min_cost` searches the budget axis once, with
   :func:`optimal_budget`, using the convexity of the per-budget optimum.
 
-The shared coordinate step ("how far can this user's rate grow") is a small
-submodular minimization.  Two interchangeable engines provide it: exact
-enumeration (:func:`sfm_minimizer`, the default) and a dual subgradient loop
-(:func:`subgradient_minimizer`) whose step and iteration count follow from
-N and m, with every iterate an exact integer multiple of the step.  Only
-the fixed-budget solvers take the second; budget searches use the first.
+The coordinate step ("how far can this user's rate grow") is a small
+submodular minimization: :func:`sfm.min_pinned` over the rank table, which
+the greedy calls and the convex rounds read off the kept slack g.  Only the
+convex rounds (``minimizer=`` of :func:`convex_alloc` and :func:`eval_h`)
+take an explicit engine with its signature, asked once per user per round,
+such as the dual subgradient loop (:func:`subgradient_minimizer`) whose step
+and iteration count follow from N and m, every iterate an exact integer
+multiple of the step.
 
 Per-user capacity caps plug into both solvers: capping the greedy coordinate
 values (or filtering increment candidates) optimizes over the restriction of
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CutSetOracle, dilworth_value, members, singleton_floor, subset_sums
+from .model import dilworth_value, members, singleton_floor, subset_sums
 from .sfm import GroundSet, min_pinned
 
 #: Slack in the slope test of :func:`optimal_budget`: the fairness cost
@@ -140,11 +142,6 @@ class TableCost:
 # Coordinate-minimization backends
 
 
-def sfm_minimizer(oracle, beta, rates, ground: GroundSet) -> int:
-    """Exact coordinate step via exhaustive subset enumeration."""
-    return min_pinned(oracle, beta, rates, ground)
-
-
 def subgrad_coordinate(oracle, beta, rates, ground: GroundSet) -> int:
     """Coordinate step via projected dual subgradient descent.
 
@@ -232,7 +229,7 @@ def _check_caps(caps, m):
     return caps
 
 
-def modified_edmonds(oracle, beta, weights, caps=None, minimizer=sfm_minimizer) -> Allocation:
+def modified_edmonds(oracle, beta, weights, caps=None) -> Allocation:
     """Greedy saturation in non-decreasing weight order (ties by index).
 
     Each user's rate is set to the largest value keeping the prefix inside
@@ -255,7 +252,7 @@ def modified_edmonds(oracle, beta, weights, caps=None, minimizer=sfm_minimizer) 
     rates = [0] * m
     prefix = 0
     for i in order:
-        val = minimizer(oracle, beta, rates, GroundSet(prefix, i))
+        val = min_pinned(oracle, beta, rates, GroundSet(prefix, i))
         if caps is not None:
             val = min(val, caps[i])
         rates[i] = val
@@ -345,23 +342,12 @@ def min_sum_rate(oracle, caps=None) -> int:
     return first_feasible(feasible, budget_ceiling(inst.n_packets, caps), hi_known=caps is None)
 
 
-def increment_headroom(oracle, beta, rates, user, minimizer=sfm_minimizer) -> int:
-    """How much ``user``'s rate may still grow with all rates held fixed."""
-    free = oracle.instance.full_mask & ~(1 << user)
-    return minimizer(oracle, beta, rates, GroundSet(free, user)) - rates[user]
-
-
-def transmit_set(oracle, beta, rates, minimizer=sfm_minimizer) -> list[int]:
-    """Users whose rate may grow by one unit without leaving the polytope.
-
-    The default engine takes one pass over the rank table (:func:`_unblocked`
-    on ``g = beta - N + rank - R``).  Other engines are asked once per user.
-    """
+def transmit_set(oracle, beta, rates) -> list[int]:
+    """Users whose rate may grow by one unit without leaving the polytope:
+    one pass over the rank table (:func:`_unblocked` on ``g = beta - N + rank - R``)."""
     if beta < 0:
         raise ValueError("budget must be non-negative")
     inst = oracle.instance
-    if minimizer is not sfm_minimizer:
-        return [i for i in range(inst.m) if increment_headroom(oracle, beta, rates, i, minimizer) >= 1]
     return _unblocked(beta - inst.n_packets + oracle.ranks - subset_sums(rates), inst.m)
 
 
@@ -404,13 +390,15 @@ def allocate_rounds(m, beta, cost, transmit, caps=None, step=None) -> Allocation
     return Allocation(tuple(rates), beta, tsets=tuple(tsets))
 
 
-def convex_alloc(oracle, beta, cost, caps=None, minimizer=sfm_minimizer) -> Allocation:
+def convex_alloc(oracle, beta, cost, caps=None, minimizer=None) -> Allocation:
     """Incremental allocator for separable convex non-decreasing costs.
 
     Runs :func:`allocate_rounds` from the zero vector with the polytope
     transmit set: a user is eligible while its unit increment stays inside
     the budgeted polytope and under its cap.  An empty eligible set proves
-    the budget (or the caps) infeasible.
+    the budget (or the caps) infeasible.  With ``minimizer=None`` the set is
+    read off the slack g kept on the rank table; an explicit engine with
+    :func:`sfm.min_pinned`'s signature is instead asked once per user.
     """
     inst = oracle.instance
     m = inst.m
@@ -427,8 +415,13 @@ def convex_alloc(oracle, beta, cost, caps=None, minimizer=sfm_minimizer) -> Allo
             achieved_sum=0,
             rounds_completed=0,
         )
-    if minimizer is not sfm_minimizer:
-        return allocate_rounds(m, beta, cost, lambda r: transmit_set(oracle, beta, r, minimizer), caps)
+    if minimizer is not None:
+        grounds = [GroundSet(inst.full_mask & ~(1 << i), i) for i in range(m)]
+
+        def transmit(rates):  # users whose headroom by the engine is positive
+            return [gs.pinned for gs in grounds if minimizer(oracle, beta, rates, gs) > rates[gs.pinned]]
+
+        return allocate_rounds(m, beta, cost, transmit, caps)
     g = beta - inst.n_packets + oracle.ranks  # f_beta - R at R = 0, kept across rounds
 
     def step(user):
@@ -438,14 +431,16 @@ def convex_alloc(oracle, beta, cost, caps=None, minimizer=sfm_minimizer) -> Allo
     return allocate_rounds(m, beta, cost, lambda rates: _unblocked(g, m), caps, step)
 
 
-def eval_h(oracle, beta, cost, caps=None, minimizer=sfm_minimizer):
+def eval_h(oracle, beta, cost, caps=None, minimizer=None):
     """Optimal cost at a fixed budget: ``(value, allocation)``.
 
-    Linear costs go through the greedy path, everything else through the
-    incremental allocator; :class:`Infeasible` propagates.
+    Linear costs go through the greedy path unless an explicit ``minimizer``
+    is given; everything else, and linear costs with an engine (a linear
+    cost is convex), through :func:`convex_alloc`.  :class:`Infeasible`
+    propagates.
     """
-    if cost.kind == "linear":
-        alloc = modified_edmonds(oracle, beta, cost.weights, caps, minimizer)
+    if cost.kind == "linear" and minimizer is None:
+        alloc = modified_edmonds(oracle, beta, cost.weights, caps)
     else:
         alloc = convex_alloc(oracle, beta, cost, caps, minimizer)
     value = sum(cost.value(i, r) for i, r in enumerate(alloc.rates))

@@ -1,12 +1,14 @@
 """Pinned-element submodular minimization over the dense rank table.
 
-The coordinate step shared by all deterministic solvers asks: over subsets S
-of a free ground set, minimize ``f_beta(S + pinned) - R(S)``.  That function
+The coordinate step asks: over subsets S of a free ground set, minimize
+``f_beta(S + pinned) - R(S)``.  The greedy calls it once per user; the convex
+rounds read the same answer off the slack they keep on the rank table, and
+take it as an explicit engine only when a caller passes one.  That function
 is fully submodular on the free set, but with every joint rank already in
 one array, evaluating all 2^|free| subsets as a single array expression is
 exact, tuning-free and fast up to the rank table's user cap
-(``model.MAX_TABLE_USERS``), so this is the default engine rather than a
-combinatorial SFM algorithm.
+(``model.MAX_TABLE_USERS``), so this enumeration, not a combinatorial SFM
+algorithm, is the exact engine.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ from .gf import FieldSpec
 from .model import (
     PRESETS,
     CutSetOracle,
-    ProblemInstance,
     dilworth_value,
     generate_instance,
     members,
@@ -37,7 +36,6 @@ from .ratealloc import (
     min_sum_rate,
     modified_edmonds,
     restriction_value,
-    sfm_minimizer,
     subgrad_coordinate,
 )
 from .sfm import GroundSet, min_pinned

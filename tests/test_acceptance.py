@@ -3,7 +3,6 @@ line with its runtime.  Tolerances are pinned in the assertions; run with
 ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion lines.
 """
 
-import math
 import time
 from contextlib import contextmanager
 
@@ -19,7 +18,6 @@ from dexchange.netcode import (
     decode,
     randomized_alloc,
     transmit_values,
-    verify_decodable,
 )
 from dexchange.ratealloc import (
     FairCost,

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -121,21 +122,36 @@ def test_solve_below_the_largest_user_need_exits_2(short_user, tmp_path, capsys)
     assert code == 2
 
 
-@pytest.mark.parametrize("beta", ["-1", str(1 << 70)])
+@pytest.mark.parametrize("beta", ["-1", str(1 << 70), "19", str(10**8)])
 def test_solve_budget_out_of_range_exits_1(instance_file, capsys, beta):
-    code, report, err = run(
-        capsys, "solve", instance_file, "--cost", "linear", "--weights", "1,1,1", "--beta", beta
+    # The demo instance has m*N = 3*6 = 18.  Every budget above it is refused
+    # at once, before the per-unit rounds or draws would start.
+    costs = (
+        ("--cost", "linear", "--weights", "1,1,1"),
+        ("--cost", "fair"),
+        ("--cost", "fair", "--backend", "randomized"),
     )
-    assert code == 1
-    assert report is None
-    assert "--beta must lie in" in err
+    for cost in costs:
+        t0 = time.perf_counter()
+        code, report, err = run(capsys, "solve", instance_file, *cost, "--beta", beta)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 1
+        assert report is None
+        assert "--beta must lie in [0, m*N = 18]" in err
+
+
+def test_solve_budget_at_the_bound_solves(instance_file, capsys):
+    code, report, _ = run(capsys, "solve", instance_file, "--cost", "fair", "--beta", "18")
+    assert code == 0
+    assert sum(report["payload"]["rates"]) == 18
 
 
 def test_code_rates_out_of_range_exits_1(instance_file, capsys):
-    code, report, err = run(capsys, "code", instance_file, "--rates", f"1,1,{1 << 70}")
-    assert code == 1
-    assert report is None
-    assert "--rates must lie below" in err
+    for rates in (f"1,1,{1 << 70}", "7,6,6", "18,1,0"):
+        code, report, err = run(capsys, "code", instance_file, "--rates", rates)
+        assert code == 1
+        assert report is None
+        assert "--rates must sum to at most m*N = 18" in err
     code, report, err = run(capsys, "code", instance_file, "--rates=-1,1,5")
     assert code == 1
     assert report is None

@@ -17,12 +17,10 @@ from dexchange.ratealloc import (
     allocate_rounds,
     convex_alloc,
     eval_h,
-    increment_headroom,
     min_cost,
     min_sum_rate,
     modified_edmonds,
     restriction_value,
-    sfm_minimizer,
     subgrad_coordinate,
     subgradient_minimizer,
     transmit_set,
@@ -225,17 +223,23 @@ def test_convex_alloc_optimal_against_enumeration():
             assert value == pytest.approx(want[0], abs=1e-9)
 
 
+def headroom(engine, oracle, beta, rates, user):
+    """How much ``user``'s rate may still grow by ``engine``, all rates held fixed."""
+    free = oracle.instance.full_mask & ~(1 << user)
+    return engine(oracle, beta, rates, GroundSet(free, user)) - rates[user]
+
+
 def test_transmit_set_shrinks_as_rates_grow(demo_oracle):
     assert transmit_set(demo_oracle, 5, [0, 0, 0]) == [0, 1, 2]
     assert transmit_set(demo_oracle, 5, [1, 0, 0]) == [1, 2]
-    assert increment_headroom(demo_oracle, 5, [1, 0, 0], 0) == 0
+    assert headroom(min_pinned, demo_oracle, 5, [1, 0, 0], 0) == 0
 
 
 def test_batched_transmit_set_matches_per_user_headroom():
-    # The one-pass transmit set of the default engine against one coordinate
+    # The one-pass transmit set of the table against one coordinate
     # minimization per user by either engine, along the rounds of an
     # incremental allocation at a feasible budget.
-    engines = (sfm_minimizer, subgradient_minimizer())
+    engines = (min_pinned, subgradient_minimizer())
     for kind, q, seed in (("raw", 257, 0), ("raw", 257, 4), ("coded", 3, 1), ("coded", 257, 2)):
         inst = generate_instance(kind, 3, 4, FieldSpec(q), seed=seed)
         oracle = CutSetOracle(inst)
@@ -244,14 +248,15 @@ def test_batched_transmit_set_matches_per_user_headroom():
         def checked(rates):
             eligible = transmit_set(oracle, beta, rates)
             for engine in engines:
-                per_user = [i for i in range(inst.m) if increment_headroom(oracle, beta, rates, i, engine) >= 1]
-                assert eligible == per_user
-                assert transmit_set(oracle, beta, rates, engine) == eligible
+                assert [i for i in range(inst.m) if headroom(engine, oracle, beta, rates, i) >= 1] == eligible
             return eligible
 
-        # The shared round driver fed the polytope transmit set is convex_alloc.
+        # The shared round driver fed the polytope transmit set is convex_alloc,
+        # whose rounds driven by either engine give the same allocation.
         driven = allocate_rounds(inst.m, beta, FairCost(), checked)
         assert driven == convex_alloc(oracle, beta, FairCost())
+        for engine in engines:
+            assert convex_alloc(oracle, beta, FairCost(), minimizer=engine) == driven
         checked(list(driven.rates))  # and the sets agree past the last round
 
 
@@ -283,9 +288,11 @@ def test_transmit_set_single_user_and_negative_budget():
     for beta in range(6):
         for r in range(6):
             assert transmit_set(oracle, beta, [r]) == ([0] if r < beta else [])
-    for engine in (sfm_minimizer, subgradient_minimizer()):
+    with pytest.raises(ValueError, match="non-negative"):
+        transmit_set(oracle, -1, [0])
+    for engine in (min_pinned, subgradient_minimizer()):
         with pytest.raises(ValueError, match="non-negative"):
-            transmit_set(oracle, -1, [0], engine)
+            convex_alloc(oracle, -1, FairCost(), minimizer=engine)
     # The incremental rounds on one user: g has two masks, stepped as (1, 2, 1).
     for beta in range(6):
         alloc = convex_alloc(oracle, beta, FairCost())
@@ -512,9 +519,44 @@ def test_subgradient_agrees_with_enumeration_everywhere(demo_oracle):
 def test_subgradient_backend_drives_full_solvers(demo_oracle):
     minimizer = subgradient_minimizer()
     assert minimizer is subgrad_coordinate
-    assert modified_edmonds(demo_oracle, 5, (1, 3, 2), minimizer=minimizer).rates == (1, 1, 3)
+    # The greedy's coordinate steps in weight order (1, 3, 2), by the dual engine.
+    rates = [0, 0, 0]
+    prefix = 0
+    for i in (0, 2, 1):
+        rates[i] = minimizer(demo_oracle, 5, rates, GroundSet(prefix, i))
+        prefix |= 1 << i
+    assert rates == [1, 1, 3]
+    # A linear cost with an explicit engine runs the convex rounds.
+    assert eval_h(demo_oracle, 5, LinearCost((1, 3, 2)), minimizer=minimizer)[1].rates == (1, 1, 3)
     alloc = convex_alloc(demo_oracle, 5, FairCost(), minimizer=minimizer)
     assert alloc.rates == (1, 2, 2)
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.sampled_from((2, 3, 5, 257)),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_convex_rounds_reproduce_greedy_on_linear_costs(kind, m, n, q, data):
+    # Weights from 1..3, so that ties occur: both paths break them by index.
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=data.draw(st.integers(0, 2**31 - 1)))
+    oracle = CutSetOracle(inst)
+    cost = LinearCost(data.draw(st.lists(st.integers(1, 3), min_size=m, max_size=m)))
+    caps = data.draw(st.none() | st.lists(st.integers(0, n), min_size=m, max_size=m))
+
+    def solved(beta, minimizer):
+        """(value, rates) at ``beta``, or None when the budget is infeasible."""
+        try:
+            value, alloc = eval_h(oracle, beta, cost, caps, minimizer=minimizer)
+        except Infeasible:
+            return None
+        return value, alloc.rates
+
+    for beta in range(n + 3):
+        assert solved(beta, min_pinned) == solved(beta, None)
 
 
 # ---------------------------------------------------------------------------

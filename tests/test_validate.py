@@ -1,6 +1,5 @@
 import numpy as np
 
-from dexchange.model import CutSetOracle
 from dexchange.ratealloc import FairCost, LinearCost, TableCost
 from dexchange.validate import (
     brute_eval_h,
