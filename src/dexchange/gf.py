@@ -20,7 +20,9 @@ import numpy as np
 
 # The int64 matmul/elimination paths need (p - 1)^2 * cols < 2^63.  Capping
 # the modulus at 2^20 leaves room for around 2^22 columns, far beyond the
-# desk-scale instances this package is built for.
+# desk-scale instances this package is built for.  The coded rank-table
+# batches need only (p - 1)^2 < 2^31 to run in int32 (p <= 46,341), and stay
+# int64 above that.
 MAX_MODULUS = 1 << 20
 
 
@@ -146,6 +148,9 @@ def _eliminate_leading(x: np.ndarray, rows: int, p: int) -> tuple[np.ndarray, np
     reduced to zero in every pivot column, hence zero when in their span.
     Fraction-free: rows are scaled by the pivot instead of dividing by it,
     so entries stay below p^2 before each reduction and need no inverse.
+    The one product difference per step is below (p - 1)^2 in absolute
+    value, so ``x`` may be int32 when (p - 1)^2 < 2^31; the dtype of ``x``
+    is kept throughout.
     """
     gained = np.zeros(x.shape[0], dtype=np.int64)
     batch = np.arange(x.shape[0])

@@ -313,12 +313,16 @@ def _coded_ranks(instance: ProblemInstance) -> np.ndarray:
     later blocks modulo the child's span.  A child of rank N fills every
     superset that adds only users above j with N; the other children join
     their parents, block j sliced off, for user j+1.  A batch over
-    _BATCH_ENTRIES entries is split, and the parts run depth first.
+    _BATCH_ENTRIES entries is split, and the parts run depth first.  The
+    batches are int32 whenever the kernel's products fit (see
+    :func:`gf._eliminate_leading`), int64 above that.
     """
     m, n, p = instance.m, instance.n_packets, instance.field.p
     sizes = [o.rows for o in instance.observations]
     ranks = np.zeros(1 << m, dtype=np.int64)
     rows = np.concatenate([o.array for o in instance.observations])
+    if (p - 1) ** 2 < 1 << 31:
+        rows = rows.astype(np.int32)
     stack = [(0, np.zeros(1, dtype=np.int64), rows[None])]
     while stack:
         j, masks, res = stack.pop()

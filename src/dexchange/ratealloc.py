@@ -22,8 +22,8 @@ the greedy calls and the convex rounds read off the kept slack g.  Only the
 convex rounds (``minimizer=`` of :func:`convex_alloc` and :func:`eval_h`)
 take an explicit engine with its signature, asked once per user per round,
 such as the dual subgradient loop (:func:`subgradient_minimizer`) whose step
-and iteration count follow from N and m, every iterate an exact integer
-multiple of the step.
+and iteration cap follow from N and m, every iterate an exact integer
+multiple of the step; it stops at its first repeated iterate.
 
 Per-user capacity caps plug into both solvers: capping the greedy coordinate
 values (or filtering increment candidates) optimizes over the restriction of
@@ -151,12 +151,16 @@ def subgrad_coordinate(oracle, beta, rates, ground: GroundSet) -> int:
     seen.  All arithmetic is exact: with integer subgradients every
     multiplier is an integer number of steps, so the dual values are
     compared as integers scaled by 4 N^2 and the final rounding cannot
-    drift.  Step and iteration count come from the instance alone.
+    drift.  Step and iteration cap come from the instance alone.  Each
+    iterate is a fixed function of the multipliers, so the loop stops at
+    the first multiplier vector that repeats an earlier one (Brent's cycle
+    check, one saved copy): the best dual value is then final.
     """
     inst = oracle.instance
     # The step 1/(4 N^2) lies below the stability bound 1/(2 N^2), and then
     # 8 N^2 m^2 + 1 iterations keep the best dual value within 1/2 of the
     # integer optimum at every feasible budget, so rounding it is exact.
+    # Multipliers that never repeat run the whole cap.
     den = 4 * inst.n_packets**2
     iterations = 8 * inst.n_packets**2 * inst.m**2 + 1
     pin_bit = 1 << ground.pinned
@@ -165,7 +169,14 @@ def subgrad_coordinate(oracle, beta, rates, ground: GroundSet) -> int:
         return oracle.cut_set_f(beta, pin_bit)
     units = {k: 0 for k in prefix}  # multiplier of user k, in steps
     best_scaled = None  # best dual value seen, times den (exact int)
+    saved = None  # Brent's check: units at the last iteration 2^k - 1
     for j in range(iterations + 1):
+        # An iterate is a function of units alone, so once units repeats,
+        # every later iterate repeats one already scored.
+        if units == saved:
+            break
+        if j & (j + 1) == 0:
+            saved = dict(units)
         order = sorted(prefix, key=lambda k: (-units[k], k))
         if units[order[0]] > den:  # top multiplier exceeds 1
             r_pin = 0
@@ -321,18 +332,29 @@ def optimal_budget(solve, hi: int, hi_known: bool = False, floor: int = 0):
     return lo, beta, runs[beta] if beta in runs else solve(beta)
 
 
+def _table_floor(oracle) -> int:
+    """The singleton cut-set floor read off the rank table: no smaller
+    budget is feasible, with or without caps."""
+    inst = oracle.instance
+    return singleton_floor(inst.n_packets, oracle.ranks[[1 << i for i in range(inst.m)]].tolist())
+
+
 def min_sum_rate(oracle, caps=None) -> int:
     """Smallest feasible total budget, by bisection on feasibility.
 
     Feasibility of a budget is monotone, and the packet count N is always
     feasible without caps; with caps the search tops out at min(N, total
     capacity) and raises :class:`Infeasible` when even that budget fails.
+    Budgets below :func:`_table_floor` fail without a greedy call.
     """
     inst = oracle.instance
     caps = _check_caps(caps, inst.m)
     unit = (1,) * inst.m
+    floor = _table_floor(oracle)
 
     def feasible(b: int) -> bool:
+        if b < floor:
+            return False
         try:
             modified_edmonds(oracle, b, unit, caps)
             return True
@@ -470,12 +492,11 @@ def min_cost(oracle, cost, caps=None) -> MinCostResult:
     """
     inst = oracle.instance
     caps = _check_caps(caps, inst.m)
-    user_ranks = oracle.ranks[[1 << i for i in range(inst.m)]].tolist()
     beta_min, beta, (value, alloc) = optimal_budget(
         lambda b: eval_h(oracle, b, cost, caps),
         budget_ceiling(inst.n_packets, caps),
         hi_known=caps is None,
-        floor=singleton_floor(inst.n_packets, user_ranks),
+        floor=_table_floor(oracle),
     )
     return MinCostResult(beta, value, alloc, beta_min)
 

@@ -420,6 +420,9 @@ _BUILD_CASES = {
     "m10-seed1": (257, 10, 24, None, 1),
     "m10-seed2": (257, 10, 24, None, 2),
     "q1048573": (1048573, 7, 12, None, 0),
+    # The largest prime whose batches run in int32, and the smallest above it.
+    "q46337": (46337, 6, 10, None, 0),
+    "q46349": (46349, 6, 10, None, 0),
     "gf2": (2, 7, 10, None, 0),
     "zero-rows": (257, 6, 9, (3, 0, 4, 0, 2, 3), 0),
     "uneven": (257, 7, 12, (1, 6, 2, 9, 1, 3, 5), 0),
@@ -442,6 +445,24 @@ def test_batched_coded_build_matches_stacked_ranks(monkeypatch, case, split):
     if split:  # every batch holds one subset, so each split path runs
         monkeypatch.setattr(model, "_BATCH_ENTRIES", 1)
     assert rank_table(inst).tolist() == want
+
+
+@pytest.mark.parametrize("case, dtype", [("q46337", "int32"), ("q46349", "int64")])
+def test_coded_build_batch_dtype_boundary(monkeypatch, case, dtype):
+    # Batches run in int32 exactly when (q - 1)^2 < 2^31; the table stays int64.
+    inst, want = _build_case(case)
+    seen = set()
+    kernel = model._eliminate_leading
+
+    def spy(x, rows, p):
+        gained, rest = kernel(x, rows, p)
+        seen.update((x.dtype.name, rest.dtype.name))
+        return gained, rest
+
+    monkeypatch.setattr(model, "_eliminate_leading", spy)
+    table = rank_table(inst)
+    assert seen == {dtype}
+    assert table.dtype.name == "int64" and table.tolist() == want
 
 
 def test_batched_coded_build_memory_is_bounded():

@@ -158,6 +158,55 @@ def test_min_sum_rate_with_caps(demo_oracle):
         min_sum_rate(demo_oracle, caps=(1, 1, 1))
 
 
+def test_min_sum_rate_skips_budgets_below_the_singleton_floor(monkeypatch, demo_oracle):
+    # The demo's singleton floor is 4: no greedy runs below it.
+    import dexchange.ratealloc as ratealloc
+
+    probed = []
+
+    def spy(oracle, beta, weights, caps=None):
+        probed.append(beta)
+        return modified_edmonds(oracle, beta, weights, caps)
+
+    monkeypatch.setattr(ratealloc, "modified_edmonds", spy)
+    assert min_sum_rate(demo_oracle) == 5
+    assert probed and min(probed) >= 4
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 5),
+    st.integers(1, 6),
+    st.sampled_from((2, 3, 5, 257)),
+    st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_min_sum_rate_matches_plain_bisection(kind, m, n, q, data):
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=data.draw(st.integers(0, 2**31 - 1)))
+    oracle = CutSetOracle(inst)
+    caps = data.draw(st.none() | st.lists(st.integers(0, n), min_size=m, max_size=m))
+
+    def feasible(b):
+        try:
+            modified_edmonds(oracle, b, (1,) * m, caps)
+            return True
+        except Infeasible:
+            return False
+
+    lo, hi = 0, n if caps is None else min(n, sum(caps))
+    if not feasible(hi):
+        with pytest.raises(Infeasible):
+            min_sum_rate(oracle, caps)
+        return
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    assert min_sum_rate(oracle, caps) == lo
+
+
 # ---------------------------------------------------------------------------
 # Incremental convex allocation
 
@@ -530,6 +579,76 @@ def test_subgradient_backend_drives_full_solvers(demo_oracle):
     assert eval_h(demo_oracle, 5, LinearCost((1, 3, 2)), minimizer=minimizer)[1].rates == (1, 1, 3)
     alloc = convex_alloc(demo_oracle, 5, FairCost(), minimizer=minimizer)
     assert alloc.rates == (1, 2, 2)
+
+
+def _full_length_subgrad(oracle, beta, rates, ground):
+    """The dual loop without its repeat exit: every one of the
+    8 N^2 m^2 + 1 iterations runs (the reference for the exit)."""
+    inst = oracle.instance
+    den = 4 * inst.n_packets**2
+    iterations = 8 * inst.n_packets**2 * inst.m**2 + 1
+    pin_bit = 1 << ground.pinned
+    prefix = [k for k in range(inst.m) if (ground.free >> k) & 1]
+    if not prefix:
+        return oracle.cut_set_f(beta, pin_bit)
+    units = {k: 0 for k in prefix}
+    best_scaled = None
+    for j in range(iterations + 1):
+        order = sorted(prefix, key=lambda k: (-units[k], k))
+        r_pin = 0 if units[order[0]] > den else oracle.cut_set_f(beta, pin_bit)
+        acc, mask, grad, weighted = r_pin, pin_bit, {}, 0
+        for k in order:
+            mask |= 1 << k
+            v = oracle.cut_set_f(beta, mask) - acc
+            acc += v
+            grad[k] = v - rates[k]
+            weighted += units[k] * grad[k]
+        scaled = r_pin * den + weighted
+        if best_scaled is None or scaled < best_scaled:
+            best_scaled = scaled
+        if j < iterations:
+            for k in prefix:
+                units[k] = max(0, units[k] - grad[k])
+    return (2 * best_scaled + den) // (2 * den)
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.sampled_from((2, 3, 5, 257)),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_subgradient_exit_matches_the_full_length_loop(kind, m, n, q, data):
+    # Rates anywhere in 0..N, so that states outside the polytope, whose
+    # multipliers may never repeat, occur as well as repeating ones.
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=data.draw(st.integers(0, 2**31 - 1)))
+    oracle = CutSetOracle(inst)
+    beta = data.draw(st.integers(0, n + 2))
+    rates = data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    pinned = data.draw(st.integers(0, m - 1))
+    free = data.draw(st.integers(0, inst.full_mask)) & ~(1 << pinned)
+    ground = GroundSet(free, pinned)
+    assert subgrad_coordinate(oracle, beta, rates, ground) == _full_length_subgrad(oracle, beta, rates, ground)
+
+
+@pytest.mark.parametrize(
+    "rates, ground, want, most_calls",
+    [((1, 0, 3), GroundSet(0b101, 1), 1, 400), ((1, 0, 0), GroundSet(0b001, 2), 3, 10)],
+)
+def test_subgradient_exit_cuts_oracle_calls(demo_oracle, rates, ground, want, most_calls):
+    # The full-length loop makes 6,101 and 5,188 cut_set_f calls here.
+    calls = []
+    f = demo_oracle.cut_set_f
+
+    def counted(beta, mask):
+        calls.append(mask)
+        return f(beta, mask)
+
+    demo_oracle.cut_set_f = counted
+    assert subgrad_coordinate(demo_oracle, 5, rates, ground) == want
+    assert len(calls) <= most_calls
 
 
 @given(
