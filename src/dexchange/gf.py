@@ -9,7 +9,7 @@ each pivoted on its first nonzero entry once reduced, which keeps the basis
 in reduced row echelon form.  Matrices are immutable after construction and
 all operations are pure, so they can be shared freely across threads.  The
 coded rank table instead eliminates a whole batch of matrices at once with
-the fraction-free ``_eliminate_leading``.
+the fraction-free ``_eliminate_leading``, on unsigned entries.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import numpy as np
 # The int64 matmul/elimination paths need (p - 1)^2 * cols < 2^63.  Capping
 # the modulus at 2^20 leaves room for around 2^22 columns, far beyond the
 # desk-scale instances this package is built for.  The coded rank-table
-# batches need only (p - 1)^2 < 2^31 to run in int32 (p <= 46,341), and stay
-# int64 above that.
+# batches are unsigned and need only (p - 1)(2p - 1) < 2^32 to run in uint32
+# (p <= 46,337), and run in uint64 above that.
 MAX_MODULUS = 1 << 20
 
 
@@ -73,7 +73,10 @@ class FMatrix:
     __slots__ = ("field", "_a")
 
     def __init__(self, field: FieldSpec, entries, cols: int | None = None):
-        a = np.array(entries, dtype=np.int64)
+        a = np.asarray(entries)
+        if a.size and a.dtype.kind not in "iu":
+            raise ValueError(f"matrix entries must be integers, got dtype {a.dtype}")
+        a = np.array(a, dtype=np.int64)
         if a.ndim == 1 and a.size == 0:
             a = a.reshape(0, 0 if cols is None else cols)
         if a.ndim != 2:
@@ -147,10 +150,10 @@ def _eliminate_leading(x: np.ndarray, rows: int, p: int) -> tuple[np.ndarray, np
     Returns the rank of those rows in each matrix and the other K - rows rows
     reduced to zero in every pivot column, hence zero when in their span.
     Fraction-free: rows are scaled by the pivot instead of dividing by it,
-    so entries stay below p^2 before each reduction and need no inverse.
-    The one product difference per step is below (p - 1)^2 in absolute
-    value, so ``x`` may be int32 when (p - 1)^2 < 2^31; the dtype of ``x``
-    is kept throughout.
+    so no inverse is needed.  Each step adds (p - x_col) * row, which is
+    -x_col * row mod p, so an unsigned ``x`` holds sums in [0, (p-1)(2p-1)]
+    and ``np.fmod`` gives the canonical remainder; ``x`` may be uint32 when
+    (p - 1)(2p - 1) < 2^32, and its dtype is kept throughout.
     """
     gained = np.zeros(x.shape[0], dtype=np.int64)
     batch = np.arange(x.shape[0])
@@ -161,8 +164,8 @@ def _eliminate_leading(x: np.ndarray, rows: int, p: int) -> tuple[np.ndarray, np
         gained += piv != 0
         piv[piv == 0] = 1  # a zero row leaves the rest as they are
         t = x * piv[:, None, None]
-        t -= x[batch, :, col][:, :, None] * row[:, None, :]
-        x = np.remainder(t, p, out=t)
+        t += (p - x[batch, :, col])[:, :, None] * row[:, None, :]
+        x = np.fmod(t, p, out=t)
     return gained, x
 
 

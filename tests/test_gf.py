@@ -9,6 +9,7 @@ from dexchange.gf import (
     RowBasis,
     ShapeError,
     SingularSystem,
+    _eliminate_leading,
     is_prime,
     rank,
     solve_full_rank,
@@ -34,6 +35,12 @@ def test_matrix_validation():
     assert m.rows == 2 and m.cols == 2
     with pytest.raises(ValueError):
         m.array[0, 0] = 3  # entries are read-only
+    # Non-integer entries are refused, not truncated or cast.
+    for entries in ([[1.7, 2.2]], [[1.0, 2.0]], [[True, False]], np.ones((2, 2)), [["1", "2"]]):
+        with pytest.raises(ValueError, match="must be integers"):
+            FMatrix(f, entries)
+    assert FMatrix(f, np.array([[1, 2]], dtype=np.uint8)).array.tolist() == [[1, 2]]
+    assert FMatrix(f, [], cols=4).array.shape == (0, 4)
 
 
 def test_empty_matrix_rank_is_zero():
@@ -256,6 +263,20 @@ def test_row_basis_matches_the_batched_reference(system, split):
         assert str(got.value) == str(exc)
     else:
         assert np.array_equal(solve_full_rank(m, b), expected)
+
+
+def test_eliminate_leading_worst_case_operands_fit_uint32():
+    # The largest prime with uint32 batches.  Pivot row [p-1, p-1] over the
+    # row [0, p-1] makes the sum before the reduction (p-1)^2 + p(p-1),
+    # which is the kernel's bound (p-1)(2p-1) < 2^32.
+    p = 46337
+    x = np.array([[[p - 1, p - 1], [0, p - 1]]])
+    narrow = _eliminate_leading(x.astype(np.uint32), 1, p)
+    wide = _eliminate_leading(x.astype(np.uint64), 1, p)
+    assert narrow[1].dtype == np.uint32
+    assert narrow[0].tolist() == wide[0].tolist() == [1]
+    assert narrow[1].tolist() == wide[1].tolist() == [[[0, 1]]]
+    assert ((0 <= narrow[1]) & (narrow[1] < p)).all()
 
 
 def test_is_prime_small_values():

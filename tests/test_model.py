@@ -420,7 +420,7 @@ _BUILD_CASES = {
     "m10-seed1": (257, 10, 24, None, 1),
     "m10-seed2": (257, 10, 24, None, 2),
     "q1048573": (1048573, 7, 12, None, 0),
-    # The largest prime whose batches run in int32, and the smallest above it.
+    # The largest prime whose batches run in uint32, and the smallest above it.
     "q46337": (46337, 6, 10, None, 0),
     "q46349": (46349, 6, 10, None, 0),
     "gf2": (2, 7, 10, None, 0),
@@ -447,9 +447,10 @@ def test_batched_coded_build_matches_stacked_ranks(monkeypatch, case, split):
     assert rank_table(inst).tolist() == want
 
 
-@pytest.mark.parametrize("case, dtype", [("q46337", "int32"), ("q46349", "int64")])
+@pytest.mark.parametrize("case, dtype", [("q46337", "uint32"), ("q46349", "uint64")])
 def test_coded_build_batch_dtype_boundary(monkeypatch, case, dtype):
-    # Batches run in int32 exactly when (q - 1)^2 < 2^31; the table stays int64.
+    # Batches run in uint32 exactly when (q - 1)(2q - 1) < 2^32; the table
+    # stays int64.
     inst, want = _build_case(case)
     seen = set()
     kernel = model._eliminate_leading
@@ -463,6 +464,25 @@ def test_coded_build_batch_dtype_boundary(monkeypatch, case, dtype):
     table = rank_table(inst)
     assert seen == {dtype}
     assert table.dtype.name == "int64" and table.tolist() == want
+
+
+@st.composite
+def coded_instances(draw):
+    """Coded instances over fields on both sides of the uint32 kernel bound,
+    with random per-user row counts that include users with no rows."""
+    q = draw(st.sampled_from((2, 3, 17, 257, 46337, 46349)))
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(2, 10))
+    coverage = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    coverage[draw(st.integers(0, m - 1))] += max(0, n - sum(coverage))
+    seed = draw(st.integers(0, 2**16))
+    return generate_instance("coded", m, n, FieldSpec(q), coverage=coverage, seed=seed)
+
+
+@given(coded_instances())
+@settings(max_examples=80, deadline=None)
+def test_coded_rank_table_matches_stacked_ranks(inst):
+    assert rank_table(inst).tolist() == _stacked_ranks(inst)
 
 
 def test_batched_coded_build_memory_is_bounded():
