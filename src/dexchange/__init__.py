@@ -44,6 +44,7 @@ from .netcode import (
 from .ratealloc import (
     Allocation,
     FairCost,
+    GroundSet,
     Infeasible,
     LinearCost,
     MinCostResult,
@@ -51,6 +52,7 @@ from .ratealloc import (
     convex_alloc,
     eval_h,
     min_cost,
+    min_pinned,
     min_sum_rate,
     modified_edmonds,
     restriction_value,
@@ -58,6 +60,5 @@ from .ratealloc import (
     subgradient_minimizer,
     transmit_set,
 )
-from .sfm import GroundSet, min_pinned
 
 __version__ = "0.1.0"

@@ -85,11 +85,14 @@ class ProblemInstance:
                 raise InstanceError(
                     f"user {i}: matrix has {obs.cols} columns, expected {self.n_packets}"
                 )
-        stacked = FMatrix.vstack(self.field, self.observations, cols=self.n_packets)
-        r = rank(stacked)
+        # The rank is at most the row count: too few rows fail before any elimination.
+        rows = sum(obs.rows for obs in self.observations)
+        enough = rows >= self.n_packets
+        r = rank(FMatrix.vstack(self.field, self.observations, cols=self.n_packets)) if enough else rows
         if r < self.n_packets:
+            shown = r if enough else f"at most {r}"
             raise InstanceError(
-                f"collective rank {r} is below the packet count {self.n_packets}; "
+                f"collective rank {shown} is below the packet count {self.n_packets}; "
                 "the users together cannot reconstruct the file"
             )
 
@@ -366,8 +369,8 @@ class CutSetOracle:
     ``beta - N + rank(A_S)`` in between (possibly negative for small
     budgets).  All 2^m joint ranks are built in one pass on the first rank
     query, never on construction, so callers that need no ranks work above
-    MAX_TABLE_USERS.  The table, and the list of Python ints that scalar
-    queries read, are each published by a single attribute assignment, so
+    MAX_TABLE_USERS.  The table, the ints scalar queries read and the last
+    :meth:`ordered_ranks` table are each published by one assignment, so
     concurrent first readers at worst build the same value twice.
     """
 
@@ -377,6 +380,7 @@ class CutSetOracle:
         self._n = instance.n_packets
         self._table = None
         self._values = None
+        self._ordered = None
 
     @property
     def ranks(self) -> np.ndarray:
@@ -385,6 +389,18 @@ class CutSetOracle:
         if table is None:
             table = self._table = rank_table(self.instance)
         return table
+
+    def ordered_ranks(self, order) -> np.ndarray:
+        """The read-only rank table with bit k meaning user ``order[k]`` (a view
+        of :attr:`ranks` for the identity order); the last order's is kept."""
+        order = tuple(order)
+        kept = self._ordered
+        if kept is None or kept[0] != order:
+            m = len(order)  # axis j of the (2,) * m view is bit m - 1 - j
+            table = self.ranks.reshape((2,) * m).transpose([m - 1 - u for u in order[::-1]]).reshape(-1)
+            table.setflags(write=False)
+            kept = self._ordered = (order, table)
+        return kept[1]
 
     def joint_rank(self, subset: int) -> int:
         """Rank of the stacked observation rows of the users in ``subset``."""

@@ -17,13 +17,11 @@ polytope:
   :func:`optimal_budget`, using the convexity of the per-budget optimum.
 
 The coordinate step ("how far can this user's rate grow") is a small
-submodular minimization: :func:`sfm.min_pinned` over the rank table, which
-the greedy calls and the convex rounds read off the kept slack g.  Only the
-convex rounds (``minimizer=`` of :func:`convex_alloc` and :func:`eval_h`)
-take an explicit engine with its signature, asked once per user per round,
-such as the dual subgradient loop (:func:`subgradient_minimizer`) whose step
-and iteration cap follow from N and m, every iterate an exact integer
-multiple of the step; it stops at its first repeated iterate.
+submodular minimization over the rank table, :func:`min_pinned`.  The greedy
+reads it off two slices of the table permuted into its order, and the convex
+rounds off the kept slack g.  Only the convex rounds (``minimizer=`` of
+:func:`convex_alloc` and :func:`eval_h`) take an explicit engine with its
+signature, asked once per user per round (:func:`subgradient_minimizer`).
 
 Per-user capacity caps plug into both solvers: capping the greedy coordinate
 values (or filtering increment candidates) optimizes over the restriction of
@@ -38,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import dilworth_value, members, singleton_floor, subset_sums
-from .sfm import GroundSet, min_pinned
 
 #: Slack in the slope test of :func:`optimal_budget`: the fairness cost
 #: sums irrational increments, so two optimal budget costs that are equal
@@ -142,10 +139,40 @@ class TableCost:
 # Coordinate-minimization backends
 
 
+@dataclass(frozen=True)
+class GroundSet:
+    """Free-element bitmask plus one pinned element always in the argument."""
+
+    free: int
+    pinned: int
+
+    def __post_init__(self):
+        if self.pinned < 0:
+            raise ValueError("pinned element must be a user index")
+        if self.free & (1 << self.pinned):
+            raise ValueError("pinned element may not appear in the free set")
+
+
+def min_pinned(oracle, beta, rates, ground: GroundSet) -> int:
+    """Minimum of ``cut_set_f(beta, S + pinned) - sum(rates over S)`` over all
+    S inside the free set: the exact engine, all 2^|free| subsets in one array op."""
+    if beta < 0:
+        raise ValueError("budget must be non-negative")
+    pin_bit = 1 << ground.pinned
+    if (ground.free | pin_bit) > oracle.instance.full_mask:
+        raise ValueError(f"ground set has users beyond user count {oracle.instance.m}")
+    positions = members(ground.free)
+    # Submasks of the free set and their rate sums, in the same order.
+    subs = subset_sums(1 << b for b in positions)
+    vals = oracle.ranks[subs | pin_bit] - subset_sums(rates[b] for b in positions)
+    # f(T) = beta - N + rank(T) for every nonempty T: the full set has rank N.
+    return beta - oracle.instance.n_packets + int(vals.min())
+
+
 def subgrad_coordinate(oracle, beta, rates, ground: GroundSet) -> int:
     """Coordinate step via projected dual subgradient descent.
 
-    Solves the same minimization as :func:`sfm.min_pinned` by relaxing the
+    Solves the same minimization as :func:`min_pinned` by relaxing the
     "already-fixed rates" equalities with multipliers, walking them with a
     constant step of 1/(4 N^2) from zero, and rounding the best dual value
     seen.  All arithmetic is exact: with integer subgradients every
@@ -244,10 +271,13 @@ def modified_edmonds(oracle, beta, weights, caps=None) -> Allocation:
     """Greedy saturation in non-decreasing weight order (ties by index).
 
     Each user's rate is set to the largest value keeping the prefix inside
-    the budgeted polytope, clipped to its cap.  If the final total matches
-    ``beta`` the vector is an optimal allocation for the linear cost; a
-    shortfall proves the budget infeasible and raises :class:`Infeasible`
-    with the achieved total.
+    the budgeted polytope, clipped to its cap: :func:`min_pinned` read off
+    two slices, [2^k, 2^(k+1)) of the table in greedy order (the k-th user's
+    subsets of the first k + 1) and [0, 2^k) of their rate sums, which
+    double as each rate is fixed.  If the final total matches ``beta`` the
+    vector is an optimal allocation for the linear cost; a shortfall proves
+    the budget infeasible and raises :class:`Infeasible` with the achieved
+    total.
     """
     inst = oracle.instance
     m = inst.m
@@ -260,14 +290,16 @@ def modified_edmonds(oracle, beta, weights, caps=None) -> Allocation:
         raise ValueError("weights must be positive")
     caps = _check_caps(caps, m)
     order = sorted(range(m), key=lambda i: (weights[i], i))
+    table = oracle.ordered_ranks(order)
+    sums = np.zeros(1 << m, dtype=np.int64)  # rate sums by greedy-order mask
     rates = [0] * m
-    prefix = 0
-    for i in order:
-        val = min_pinned(oracle, beta, rates, GroundSet(prefix, i))
+    for k, i in enumerate(order):
+        half = 1 << k
+        val = beta - inst.n_packets + int((table[half : 2 * half] - sums[:half]).min())
         if caps is not None:
             val = min(val, caps[i])
         rates[i] = val
-        prefix |= 1 << i
+        np.add(sums[:half], val, out=sums[half : 2 * half])
     total = sum(rates)
     if total != beta:
         raise Infeasible(
@@ -420,7 +452,7 @@ def convex_alloc(oracle, beta, cost, caps=None, minimizer=None) -> Allocation:
     the budgeted polytope and under its cap.  An empty eligible set proves
     the budget (or the caps) infeasible.  With ``minimizer=None`` the set is
     read off the slack g kept on the rank table; an explicit engine with
-    :func:`sfm.min_pinned`'s signature is instead asked once per user.
+    :func:`min_pinned`'s signature is instead asked once per user.
     """
     inst = oracle.instance
     m = inst.m

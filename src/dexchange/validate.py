@@ -27,18 +27,19 @@ from .model import (
 from .netcode import RngSpec, randomized_alloc
 from .ratealloc import (
     FairCost,
+    GroundSet,
     Infeasible,
     LinearCost,
     TableCost,
     convex_alloc,
     eval_h,
     min_cost,
+    min_pinned,
     min_sum_rate,
     modified_edmonds,
     restriction_value,
     subgrad_coordinate,
 )
-from .sfm import GroundSet, min_pinned
 
 
 #: Bound on the property suite's brute-force grid, ``(max_n + 1)^max_m``

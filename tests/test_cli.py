@@ -506,6 +506,7 @@ def test_too_deeply_nested_json_exits_1(instance_file, tmp_path, capsys, argv, m
         (["solve", "{instance}", "--cost", "fair"], 0),
         (["solve", "{instance}", "--cost", "linear"], 1),
         (["solve", "{instance}", "--cost", "fair", "--beta", "4"], 2),
+        pytest.param(["solve", "{rowless}"], 1, id="solve-rowless-1"),
         (["code", "{instance}", "--rates", "1,1,3", "--out", "{out}"], 0),
         (["code", "{instance}", "--rates", "1,1", "--out", "{out}"], 1),
         (["code", "{instance}", "--rates", "1,1,1", "--out", "{out}"], 2),
@@ -524,12 +525,17 @@ def test_too_deeply_nested_json_exits_1(instance_file, tmp_path, capsys, argv, m
 )
 def test_exit_code_contract(instance_file, tmp_path, capsys, monkeypatch, argv, expected):
     paths = {
-        name: str(tmp_path / f"{name}.json") for name in ("out", "sched", "missing", "empty", "gf2")
+        name: str(tmp_path / f"{name}.json")
+        for name in ("out", "sched", "missing", "empty", "gf2", "rowless")
     }
     assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", paths["sched"])[0] == 0
     assert run(capsys, "gen", "--preset", "example1", "--q", "2", "--out", paths["gf2"])[0] == 0
     with open(paths["empty"], "w", encoding="utf-8") as f:
         json.dump({"q": 257, "N": 6, "entries": [], "rng": None}, f)
+    # A million packets and no rows: rejected before an elimination sizes
+    # a buffer by the packet count (7.28 TiB for this 47-byte file).
+    with open(paths["rowless"], "w", encoding="utf-8") as f:
+        json.dump({"q": 2, "N": 1000000, "users": [{"rows": []}]}, f)
     if expected == 5:  # no input makes a property fail
         import dexchange.cli as cli
         from dexchange.validate import CheckResult

@@ -2,6 +2,7 @@ import functools
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +28,7 @@ from dexchange.model import (
     preset_instance,
     rank_table,
     save_instance,
+    subset_sums,
 )
 
 FULL = 0b111  # all three users of the demo instance
@@ -49,6 +51,15 @@ def test_collective_rank_required():
     mats = (FMatrix(f, [[1, 0, 0]]), FMatrix(f, [[0, 1, 0]]))
     with pytest.raises(InstanceError, match="collective rank"):
         ProblemInstance(f, 3, mats)
+
+
+def test_too_few_rows_fail_before_any_elimination(monkeypatch):
+    # A million packets and no rows: the elimination would size its buffers
+    # by the packet count, so the row count has to reject the instance first.
+    monkeypatch.setattr(model, "rank", lambda _: pytest.fail("eliminated a rowless instance"))
+    f = FieldSpec(2)
+    with pytest.raises(InstanceError, match="collective rank at most 0 is below the packet count 1000000"):
+        ProblemInstance(f, 1_000_000, (FMatrix(f, [], cols=1_000_000),))
 
 
 def test_column_count_checked():
@@ -499,6 +510,78 @@ def test_batched_coded_build_memory_is_bounded():
 def test_rank_table_is_read_only(demo_oracle):
     with pytest.raises(ValueError):
         demo_oracle.ranks[1] = 0
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 8),
+    st.sampled_from((2, 3, 257)),
+    st.integers(0, 2**31 - 1),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=60, deadline=None)
+def test_ordered_ranks_renumber_the_users(kind, m, q, seed, rnd):
+    oracle = CutSetOracle(generate_instance(kind, m, 6, FieldSpec(q), seed=seed))
+    for _ in range(3):
+        order = list(range(m))
+        rnd.shuffle(order)
+        want = oracle.ranks[subset_sums(1 << u for u in order)]
+        assert np.array_equal(oracle.ordered_ranks(order), want)
+
+
+def test_identity_order_is_a_view_of_the_table():
+    oracle = CutSetOracle(generate_instance("coded", 6, 8, FieldSpec(5), seed=1))
+    table = oracle.ordered_ranks(range(6))
+    assert np.shares_memory(table, oracle.ranks)
+    assert np.array_equal(table, oracle.ranks)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1)], ids=["identity", "permuted"])
+def test_ordered_ranks_are_read_only(demo_oracle, order):
+    table = demo_oracle.ordered_ranks(order)
+    with pytest.raises(ValueError):
+        table[1] = 0
+
+
+def test_ordered_ranks_are_kept_per_oracle():
+    # Same order, different instances: each oracle answers from its own table.
+    order = (3, 1, 0, 2)
+    oracles = [CutSetOracle(generate_instance("coded", 4, 6, FieldSpec(3), seed=s)) for s in (0, 1)]
+    tables = [o.ordered_ranks(order) for o in oracles]
+    for oracle, table in zip(oracles, tables):
+        assert np.array_equal(table, oracle.ranks[subset_sums(1 << u for u in order)])
+        assert oracle.ordered_ranks(order) is table
+    assert not np.array_equal(tables[0], tables[1])
+
+
+def test_racing_orders_each_read_their_own_table():
+    # Threads asking one oracle for different orders replace its kept table
+    # under each other; each must still get the table of the order it asked.
+    import sys
+    import threading
+
+    oracle = CutSetOracle(generate_instance("coded", 6, 8, FieldSpec(5), seed=2))
+    orders = [tuple(range(6)), (5, 4, 3, 2, 1, 0), (1, 3, 5, 0, 2, 4), (2, 0, 1, 5, 3, 4)]
+    want = [oracle.ranks[subset_sums(1 << u for u in order)] for order in orders]
+    bad = []
+
+    def worker(k):
+        for _ in range(300):
+            if not np.array_equal(oracle.ordered_ranks(orders[k]), want[k]):
+                bad.append(k)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k % len(orders),)) for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert bad == []
 
 
 def test_rank_table_user_cap():

@@ -10,6 +10,7 @@ from dexchange.gf import FieldSpec
 from dexchange.model import CutSetOracle, generate_instance, in_cut_set_region, instance_from_packet_sets
 from dexchange.ratealloc import (
     FairCost,
+    GroundSet,
     Infeasible,
     LinearCost,
     MinCostResult,
@@ -18,6 +19,7 @@ from dexchange.ratealloc import (
     convex_alloc,
     eval_h,
     min_cost,
+    min_pinned,
     min_sum_rate,
     modified_edmonds,
     restriction_value,
@@ -25,7 +27,6 @@ from dexchange.ratealloc import (
     subgradient_minimizer,
     transmit_set,
 )
-from dexchange.sfm import GroundSet, min_pinned
 from dexchange.validate import _random_caps, _suite_costs, brute_eval_h, brute_min_cost, suite_instances
 
 
@@ -132,6 +133,47 @@ def test_greedy_validates_arguments(demo_oracle):
         modified_edmonds(demo_oracle, 5, (1, 1))
     with pytest.raises(ValueError):
         modified_edmonds(demo_oracle, 5, (1, 1, 1), caps=(1, -1, 0))
+
+
+def per_step_greedy(oracle, beta, weights, caps=None):
+    """The greedy as one ``min_pinned`` call per user, the loop the slice
+    greedy replaced: its rates whether or not they reach ``beta``."""
+    m = oracle.instance.m
+    rates = [0] * m
+    prefix = 0
+    for i in sorted(range(m), key=lambda i: (weights[i], i)):
+        val = min_pinned(oracle, beta, rates, GroundSet(prefix, i))
+        rates[i] = val if caps is None else min(val, caps[i])
+        prefix |= 1 << i
+    return tuple(rates)
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 8),
+    st.integers(1, 9),
+    st.sampled_from((2, 3, 5, 257)),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_slice_greedy_matches_the_per_step_min_pinned_loop(kind, m, n, q, capped, data):
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=data.draw(st.integers(0, 2**31 - 1)))
+    oracle = CutSetOracle(inst)
+    # Several weight vectors on one oracle, so its kept order table is replaced.
+    for _ in range(3):
+        beta = data.draw(st.integers(0, n + 1))
+        weights = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        caps = data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m)) if capped else None
+        want = per_step_greedy(oracle, beta, weights, caps)
+        try:
+            got = modified_edmonds(oracle, beta, weights, caps).rates
+        except Infeasible as exc:
+            assert sum(want) != beta
+            assert exc.achieved_sum == sum(want)
+        else:
+            assert got == want and sum(want) == beta
+            assert all(type(r) is int for r in got)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from dexchange.model import CutSetOracle, generate_instance, members
 from dexchange.gf import FieldSpec
-from dexchange.sfm import GroundSet, min_pinned
+from dexchange.ratealloc import GroundSet, min_pinned
 
 
 def loop_min_pinned(oracle, beta, rates, ground):

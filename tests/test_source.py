@@ -1,11 +1,14 @@
-"""Source hygiene of the package, read with the standard library's ``ast``."""
+"""Source hygiene of the package, read with the standard library's ``ast``,
+and the package names the benchmark's tracer hooks."""
 
 import ast
+import types
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dexchange"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dexchange"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -32,3 +35,20 @@ def test_checker_flags_unused_and_keeps_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_package_modules_import_no_unused_names(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _load_tracing():
+    """``perfbench/tracing.py`` run from its source, writing no bytecode cache."""
+    path = ROOT / "perfbench" / "tracing.py"
+    module = types.ModuleType("perfbench_tracing")
+    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_every_benchmark_hook_finds_a_target():
+    # The tracer skips a hook whose names are all gone and reports its
+    # metrics as null, which spoils the traced run's result line.
+    tracing = _load_tracing()
+    lost = [name for name, (targets, _, _) in tracing.HOOKS.items()
+            if not any(tracing._resolve(t) for t in targets)]
+    assert lost == []
