@@ -16,7 +16,6 @@ from .model import (
     InstanceError,
     ProblemInstance,
     TableTooLarge,
-    dilworth_value,
     generate_instance,
     in_cut_set_region,
     instance_from_packet_sets,
@@ -55,10 +54,7 @@ from .ratealloc import (
     min_pinned,
     min_sum_rate,
     modified_edmonds,
-    restriction_value,
-    subgrad_coordinate,
     subgradient_minimizer,
-    transmit_set,
 )
 
 __version__ = "0.1.0"

@@ -8,7 +8,9 @@ indexed by user-subset bitmask.
 
 Subsets of users are plain int bitmasks (bit i = user i).  Instances are
 capped at MAX_USERS users; the deterministic algorithms read all 2^m joint
-ranks, so the rank table is capped at MAX_TABLE_USERS users.
+ranks, so the rank table is capped at MAX_TABLE_USERS users.  This module
+holds only what the solvers read; the brute-force partition bound that
+certifies them is in :mod:`dexchange.validate`.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ from .gf import FieldSpec, FMatrix, _eliminate_leading, rank
 MAX_USERS = 30
 #: Largest user count whose 2^m joint-rank table is built (8 MB of int64).
 MAX_TABLE_USERS = 20
+#: Most matrix entries, sum of coverage times N, that :func:`generate_instance`
+#: draws (32 MiB of int64).  A full-rank draw has at least N rows, so this caps
+#: N at 2,048, and the m N x N int64 bases an exchange over the instance keeps
+#: at m x 32 MiB (960 MiB at MAX_USERS).
+MAX_DRAW_ENTRIES = 1 << 22
 
 #: Packet subsets for the bundled three-user, six-packet demo instance.
 PRESETS = {
@@ -42,13 +49,6 @@ class InfeasibleInstance(ValueError):
 
 class TableTooLarge(ValueError):
     """The instance has more users than the rank table allows."""
-
-
-def mask_of(users) -> int:
-    m = 0
-    for u in users:
-        m |= 1 << u
-    return m
 
 
 def members(mask: int) -> tuple[int, ...]:
@@ -224,7 +224,8 @@ def generate_instance(
     basis rows); ``kind='coded'`` gives uniform random matrices.  ``coverage``
     is the per-user row count; the default spreads roughly 2N rows evenly.
     Sampling retries until the union spans all packets, so the result is
-    deterministic in ``seed``.
+    deterministic in ``seed``.  A draw of more than MAX_DRAW_ENTRIES matrix
+    entries is refused before anything is allocated.
     """
     if kind not in ("raw", "coded"):
         raise ValueError(f"kind must be 'raw' or 'coded', got {kind!r}")
@@ -248,6 +249,11 @@ def generate_instance(
         )
     if kind == "raw" and any(c > n_packets for c in coverage):
         raise InfeasibleInstance(f"a user cannot hold more than {n_packets} distinct packets")
+    if sum(coverage) * n_packets > MAX_DRAW_ENTRIES:
+        raise InfeasibleInstance(
+            f"{sum(coverage)} rows of {n_packets} packets exceed the draw cap of "
+            f"{MAX_DRAW_ENTRIES} matrix entries"
+        )
 
     rng = np.random.default_rng(seed)
     for _ in range(1000):
@@ -419,36 +425,6 @@ class CutSetOracle:
         if subset == self._full:
             return beta
         return beta - self._n + self.joint_rank(subset)
-
-
-def _iter_partitions(items: tuple[int, ...]):
-    """All set partitions of ``items`` as lists of lists."""
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for part in _iter_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
-        yield [[first]] + part
-
-
-def dilworth_value(oracle: CutSetOracle, beta: int, subset: int) -> int:
-    """Tightest fully submodular value at ``subset``: the minimum of
-    ``cut_set_f`` summed over the blocks of any partition of the subset.
-
-    Test oracle only: enumerates every set partition, so the subset size is
-    capped at 10 (Bell(10) = 115975 partitions).
-    """
-    users = members(subset)
-    if len(users) > 10:
-        raise ValueError("partition enumeration capped at subsets of size 10")
-    best = None
-    for part in _iter_partitions(users):
-        total = sum(oracle.cut_set_f(beta, mask_of(block)) for block in part)
-        if best is None or total < best:
-            best = total
-    return 0 if best is None else best
 
 
 def subset_sums(values) -> np.ndarray:

@@ -201,8 +201,10 @@ class ExchangeState:
             coeffs=tuple(int(v) for v in np.asarray(coeffs, dtype=np.int64)),
             combo=tuple(int(v) for v in u),
         )
-        for span in self._spans:
-            span.add(u)
+        # The sender's own span already holds u, a combination of its rows.
+        for i, span in enumerate(self._spans):
+            if i != user:
+                span.add(u)
         self.entries.append(entry)
         self.round += 1
         return entry
@@ -294,8 +296,6 @@ def transmit_values(schedule: TransmissionSchedule, w) -> np.ndarray:
     """The broadcast values a packet vector ``w`` would produce."""
     rows = schedule.combo_rows()
     w = np.asarray(w, dtype=np.int64)
-    if rows.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
     return (rows @ w) % schedule.q
 
 

@@ -19,13 +19,16 @@ polytope:
 The coordinate step ("how far can this user's rate grow") is a small
 submodular minimization over the rank table, :func:`min_pinned`.  The greedy
 reads it off two slices of the table permuted into its order, and the convex
-rounds off the kept slack g.  Only the convex rounds (``minimizer=`` of
-:func:`convex_alloc` and :func:`eval_h`) take an explicit engine with its
-signature, asked once per user per round (:func:`subgradient_minimizer`).
+rounds read their transmit set off the kept slack g.  Only the convex rounds
+(``minimizer=`` of :func:`convex_alloc` and :func:`eval_h`) take an explicit
+engine with its signature, asked once per user per round
+(:func:`subgradient_minimizer`).
 
 Per-user capacity caps plug into both solvers: capping the greedy coordinate
 values (or filtering increment candidates) optimizes over the restriction of
 the budgeted polytope, whose base polytope is exactly the capped original.
+The brute-force partition and restriction bounds that certify these solvers
+are in :mod:`dexchange.validate`.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import dilworth_value, members, singleton_floor, subset_sums
+from .model import members, singleton_floor, subset_sums
 
 #: Slack in the slope test of :func:`optimal_budget`: the fairness cost
 #: sums irrational increments, so two optimal budget costs that are equal
@@ -396,15 +399,6 @@ def min_sum_rate(oracle, caps=None) -> int:
     return first_feasible(feasible, budget_ceiling(inst.n_packets, caps), hi_known=caps is None)
 
 
-def transmit_set(oracle, beta, rates) -> list[int]:
-    """Users whose rate may grow by one unit without leaving the polytope:
-    one pass over the rank table (:func:`_unblocked` on ``g = beta - N + rank - R``)."""
-    if beta < 0:
-        raise ValueError("budget must be non-negative")
-    inst = oracle.instance
-    return _unblocked(beta - inst.n_packets + oracle.ranks - subset_sums(rates), inst.m)
-
-
 def _unblocked(g, m) -> list[int]:
     """The one-pass transmit set: with ``g(U) = f_beta(U) - R(U)``, user i may
     send exactly when no nonempty U holding i has g(U) <= 0.  Mask 0, whose g
@@ -531,30 +525,3 @@ def min_cost(oracle, cost, caps=None) -> MinCostResult:
         floor=_table_floor(oracle),
     )
     return MinCostResult(beta, value, alloc, beta_min)
-
-
-def restriction_value(oracle, beta, caps, subset) -> int:
-    """Capacity-restricted polytope bound at ``subset`` (test oracle).
-
-    Minimum over splits of the subset of "uncapped bound on one part plus
-    total capacity of the rest", with the uncapped bound supplied by the
-    exhaustive partition oracle.  Doubly exponential, hence the size cap.
-    """
-    users = members(subset)
-    if len(users) > 10:
-        raise ValueError("restriction enumeration capped at subsets of size 10")
-    caps = _check_caps(caps, oracle.instance.m)
-    if caps is None:
-        raise ValueError("a capacity vector is required")
-    best = None
-    t = len(users)
-    for k in range(1 << t):
-        v_mask = 0
-        for b in range(t):
-            if k & (1 << b):
-                v_mask |= 1 << users[b]
-        rest = sum(caps[u] for u in users if not (v_mask >> u) & 1)
-        total = dilworth_value(oracle, beta, v_mask) + rest
-        if best is None or total < best:
-            best = total
-    return 0 if best is None else best

@@ -3,9 +3,12 @@ and Monte-Carlo statistics.
 
 The brute-force routines enumerate integer rate vectors against the raw
 cut-set bounds, independent of the greedy/incremental solver machinery, so
-they serve as ground truth for solver outputs.  Suite runners return
-:class:`CheckResult` records; the CLI ``validate`` command and the test
-suite both consume them.
+they serve as ground truth for solver outputs.  The two bounds that certify
+the solvers are enumerated here as well: the partition bound
+(:func:`dilworth_value`, the Dilworth truncation of the cut-set function)
+and the capped restriction bound (:func:`restriction_value`).  Suite runners
+return :class:`CheckResult` records; the CLI ``validate`` command and the
+test suite both consume them.
 """
 
 from __future__ import annotations
@@ -19,7 +22,6 @@ from .gf import FieldSpec
 from .model import (
     PRESETS,
     CutSetOracle,
-    dilworth_value,
     generate_instance,
     members,
     preset_instance,
@@ -37,7 +39,6 @@ from .ratealloc import (
     min_pinned,
     min_sum_rate,
     modified_edmonds,
-    restriction_value,
     subgrad_coordinate,
 )
 
@@ -105,6 +106,46 @@ def region_vectors(oracle: CutSetOracle, caps=None) -> np.ndarray:
         feasible = (grid @ ind.T >= lower).all(axis=1)
         grid = grid[feasible]
     return grid
+
+
+def _iter_partitions(items: tuple[int, ...]):
+    """All set partitions of ``items`` as lists of lists."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in _iter_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + [[first] + part[i]] + part[i + 1 :]
+        yield [[first]] + part
+
+
+def dilworth_value(oracle: CutSetOracle, beta: int, subset: int) -> int:
+    """Tightest fully submodular value at ``subset``: the minimum of
+    ``cut_set_f`` summed over the blocks of any partition of the subset.
+
+    Enumerates every set partition, so the subset size is capped at 10
+    (Bell(10) = 115975 partitions).
+    """
+    users = members(subset)
+    if len(users) > 10:
+        raise ValueError("partition enumeration capped at subsets of size 10")
+    return min(
+        sum(oracle.cut_set_f(beta, sum(1 << u for u in block)) for block in part)
+        for part in _iter_partitions(users)
+    )
+
+
+def restriction_value(oracle: CutSetOracle, beta: int, caps, subset: int) -> int:
+    """Capacity-restricted polytope bound at ``subset``: the minimum over
+    parts V of the subset of ``dilworth_value`` at V plus the total capacity
+    of the rest.  Doubly exponential, hence the size cap.
+    """
+    users = members(subset)
+    if len(users) > 10:
+        raise ValueError("restriction enumeration capped at subsets of size 10")
+    parts = (sum(1 << u for b, u in enumerate(users) if k >> b & 1) for k in range(1 << len(users)))
+    return min(dilworth_value(oracle, beta, v) + sum(caps[u] for u in members(subset & ~v)) for v in parts)
 
 
 def cost_grid(cost, grid: np.ndarray) -> np.ndarray:
@@ -245,8 +286,6 @@ def run_submodularity(instances) -> list[CheckResult]:
         full = inst.full_mask
         bad = None
         for beta in sorted({0, 1, n // 2, n - 1, n, n + 1, n + 3}):
-            if beta < 0:
-                continue
             for s in range(full + 1):
                 for t in range(full + 1):
                     overlap = s & t

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from dexchange.gf import FieldSpec
-from dexchange.model import CutSetOracle, dilworth_value, generate_instance, preset_instance
+from dexchange.model import CutSetOracle, generate_instance, preset_instance
 from dexchange.netcode import (
     ConstructionFailed,
     RngSpec,
@@ -30,6 +30,7 @@ from dexchange.ratealloc import (
     modified_edmonds,
 )
 from dexchange.validate import (
+    dilworth_value,
     run_h_shape,
     run_oracle_equivalence,
     run_restriction_identity,

@@ -503,12 +503,20 @@ def test_too_deeply_nested_json_exits_1(instance_file, tmp_path, capsys, argv, m
     [
         (["gen", "--preset", "example1", "--out", "{out}"], 0),
         (["gen", "--kind", "raw", "--m", "2", "--n", "4", "--rows", "1,1"], 1),
+        pytest.param(["gen", "--preset", "example1"], 0, id="gen-stdout-0"),
+        pytest.param(["gen"], 1, id="gen-no-size-1"),
+        # 2 x 100000 x 100000 entries: refused before numpy is asked for them.
+        pytest.param(["gen", "--kind", "coded", "--m", "2", "--n", "100000"], 1, id="gen-too-large-1"),
         (["solve", "{instance}", "--cost", "fair"], 0),
         (["solve", "{instance}", "--cost", "linear"], 1),
         (["solve", "{instance}", "--cost", "fair", "--beta", "4"], 2),
         pytest.param(["solve", "{rowless}"], 1, id="solve-rowless-1"),
+        pytest.param(["solve", "{missing}"], 1, id="solve-missing-1"),
+        pytest.param(["solve", "{instance}", "--weights", "1,2"], 1, id="solve-weights-length-1"),
+        pytest.param(["solve", "{instance}", "--cost", "table"], 1, id="solve-no-table-1"),
         (["code", "{instance}", "--rates", "1,1,3", "--out", "{out}"], 0),
         (["code", "{instance}", "--rates", "1,1", "--out", "{out}"], 1),
+        pytest.param(["code", "{instance}", "--rates", "1,x,3", "--out", "{out}"], 1, id="code-rates-not-int-1"),
         (["code", "{instance}", "--rates", "1,1,1", "--out", "{out}"], 2),
         (["code", "{gf2}", "--rates", "1,1,3", "--max-retries", "1", "--out", "{out}"], 3),
         (["verify", "{instance}", "{sched}"], 0),
@@ -517,6 +525,11 @@ def test_too_deeply_nested_json_exits_1(instance_file, tmp_path, capsys, argv, m
         (["decode", "{instance}", "{sched}", "--user", "0"], 0),
         (["decode", "{instance}", "{sched}", "--user", "3"], 1),
         (["decode", "{instance}", "{empty}", "--user", "0"], 4),
+        pytest.param(
+            ["decode", "{instance}", "{sched}", "--user", "0", "--truth", "{truth}"],
+            1,
+            id="decode-truth-length-1",
+        ),
         (["validate", "--suite", "paper-examples"], 0),
         (["validate", "--suite", "rlnc", "--q", "4"], 1),
         (["validate", "--suite", "paper-examples", "--artifact", "{out}"], 5),
@@ -526,7 +539,7 @@ def test_too_deeply_nested_json_exits_1(instance_file, tmp_path, capsys, argv, m
 def test_exit_code_contract(instance_file, tmp_path, capsys, monkeypatch, argv, expected):
     paths = {
         name: str(tmp_path / f"{name}.json")
-        for name in ("out", "sched", "missing", "empty", "gf2", "rowless")
+        for name in ("out", "sched", "missing", "empty", "gf2", "rowless", "truth")
     }
     assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", paths["sched"])[0] == 0
     assert run(capsys, "gen", "--preset", "example1", "--q", "2", "--out", paths["gf2"])[0] == 0
@@ -536,6 +549,8 @@ def test_exit_code_contract(instance_file, tmp_path, capsys, monkeypatch, argv, 
     # a buffer by the packet count (7.28 TiB for this 47-byte file).
     with open(paths["rowless"], "w", encoding="utf-8") as f:
         json.dump({"q": 2, "N": 1000000, "users": [{"rows": []}]}, f)
+    with open(paths["truth"], "w", encoding="utf-8") as f:
+        json.dump([1, 2, 3], f)  # the demo instance has 6 packets
     if expected == 5:  # no input makes a property fail
         import dexchange.cli as cli
         from dexchange.validate import CheckResult
@@ -548,6 +563,8 @@ def test_exit_code_contract(instance_file, tmp_path, capsys, monkeypatch, argv, 
     assert "Traceback" not in err
     if code == 1:
         assert report is None and err.strip()
+    if argv[0] == "gen" and code == 0:  # the instance goes to stdout unless --out is given
+        assert (report is None) == ("--out" in argv)
 
 
 @pytest.mark.parametrize("blob", [b"not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])

@@ -18,24 +18,22 @@ from dexchange.model import (
     ProblemInstance,
     TableTooLarge,
     _raw_supports,
-    dilworth_value,
     generate_instance,
     in_cut_set_region,
     instance_from_packet_sets,
     load_instance,
-    mask_of,
     members,
     preset_instance,
     rank_table,
     save_instance,
     subset_sums,
 )
+from dexchange.validate import dilworth_value
 
 FULL = 0b111  # all three users of the demo instance
 
 
 def test_bit_helpers():
-    assert mask_of([0, 2]) == 0b101
     assert members(0b1011) == (0, 1, 3)
     assert members(0) == ()
 
@@ -257,6 +255,18 @@ def test_generate_coded_ranks_each_draw_once(monkeypatch, m, q, seed, digest):
 def test_generate_rejects_too_many_users():
     with pytest.raises(InfeasibleInstance, match="bitmask cap"):
         generate_instance("coded", MAX_USERS + 1, 4, FieldSpec(257))
+
+
+def test_generate_refuses_draws_over_the_entry_cap(monkeypatch):
+    # Refused before the generator runs: the draw itself is never made.
+    monkeypatch.setattr(model.np.random, "default_rng", lambda _: pytest.fail("drew an oversized instance"))
+    with pytest.raises(InfeasibleInstance, match="draw cap of 4194304 matrix entries"):
+        generate_instance("coded", 2, 100_000, FieldSpec(257))
+    monkeypatch.undo()
+    monkeypatch.setattr(model, "MAX_DRAW_ENTRIES", 12)
+    assert generate_instance("raw", 2, 3, FieldSpec(2), coverage=(2, 2)).m == 2  # 12 entries: at the cap
+    with pytest.raises(InfeasibleInstance, match="draw cap of 12"):
+        generate_instance("raw", 2, 3, FieldSpec(2), coverage=(3, 2))
 
 
 @given(

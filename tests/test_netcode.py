@@ -24,7 +24,7 @@ from dexchange.netcode import (
     transmit_values,
     verify_decodable,
 )
-from dexchange.ratealloc import FairCost, Infeasible, LinearCost, transmit_set
+from dexchange.ratealloc import FairCost, GroundSet, Infeasible, LinearCost, min_pinned
 
 # A hand-checked reference run over GF(19) on the demo instance with a
 # uniform cost and budget 5: per-round sender and combining coefficients,
@@ -146,9 +146,11 @@ def _check_rank_vs_polyhedral(inst, beta, seed, require_equality):
         alloc, schedule, _ = randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed))
     except Infeasible:
         return
+    grounds = [GroundSet(inst.full_mask & ~(1 << i), i) for i in range(inst.m)]
     rates = [0] * inst.m
     for j, entry in enumerate(schedule.entries):
-        poly = set(transmit_set(oracle, beta, rates))
+        # Users with headroom by the exact per-user engine.
+        poly = {g.pinned for g in grounds if min_pinned(oracle, beta, rates, g) > rates[g.pinned]}
         rank_based = set(alloc.tsets[j])
         assert rank_based <= poly
         if require_equality:

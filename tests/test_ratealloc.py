@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexchange.gf import FieldSpec
-from dexchange.model import CutSetOracle, generate_instance, in_cut_set_region, instance_from_packet_sets
+from dexchange.model import (
+    CutSetOracle,
+    generate_instance,
+    in_cut_set_region,
+    instance_from_packet_sets,
+    subset_sums,
+)
 from dexchange.ratealloc import (
     FairCost,
     GroundSet,
@@ -15,6 +21,7 @@ from dexchange.ratealloc import (
     LinearCost,
     MinCostResult,
     TableCost,
+    _unblocked,
     allocate_rounds,
     convex_alloc,
     eval_h,
@@ -22,12 +29,18 @@ from dexchange.ratealloc import (
     min_pinned,
     min_sum_rate,
     modified_edmonds,
-    restriction_value,
     subgrad_coordinate,
     subgradient_minimizer,
-    transmit_set,
 )
-from dexchange.validate import _random_caps, _suite_costs, brute_eval_h, brute_min_cost, suite_instances
+from dexchange.validate import (
+    _random_caps,
+    _suite_costs,
+    brute_eval_h,
+    brute_min_cost,
+    dilworth_value,
+    restriction_value,
+    suite_instances,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -320,9 +333,20 @@ def headroom(engine, oracle, beta, rates, user):
     return engine(oracle, beta, rates, GroundSet(free, user)) - rates[user]
 
 
+def headroom_set(engine, oracle, beta, rates):
+    """The users with at least one unit of headroom by ``engine``."""
+    return [i for i in range(oracle.instance.m) if headroom(engine, oracle, beta, rates, i) >= 1]
+
+
+def one_pass_set(oracle, beta, rates):
+    """The one-pass transmit set on a slack g built from scratch for ``rates``."""
+    inst = oracle.instance
+    return _unblocked(beta - inst.n_packets + oracle.ranks - subset_sums(rates), inst.m)
+
+
 def test_transmit_set_shrinks_as_rates_grow(demo_oracle):
-    assert transmit_set(demo_oracle, 5, [0, 0, 0]) == [0, 1, 2]
-    assert transmit_set(demo_oracle, 5, [1, 0, 0]) == [1, 2]
+    assert headroom_set(min_pinned, demo_oracle, 5, [0, 0, 0]) == [0, 1, 2]
+    assert headroom_set(min_pinned, demo_oracle, 5, [1, 0, 0]) == [1, 2]
     assert headroom(min_pinned, demo_oracle, 5, [1, 0, 0], 0) == 0
 
 
@@ -337,9 +361,9 @@ def test_batched_transmit_set_matches_per_user_headroom():
         beta = min_sum_rate(oracle) + 1
 
         def checked(rates):
-            eligible = transmit_set(oracle, beta, rates)
+            eligible = one_pass_set(oracle, beta, rates)
             for engine in engines:
-                assert [i for i in range(inst.m) if headroom(engine, oracle, beta, rates, i) >= 1] == eligible
+                assert headroom_set(engine, oracle, beta, rates) == eligible
             return eligible
 
         # The shared round driver fed the polytope transmit set is convex_alloc,
@@ -368,9 +392,7 @@ def test_one_pass_transmit_set_matches_min_pinned(kind, m, n, q, data):
         # Below a vertex of the down-closed polytope, hence inside it.
         vertex = modified_edmonds(oracle, beta, (1,) * m).rates
         rates = [max(0, v - d) for v, d in zip(vertex, rates)]
-    full = inst.full_mask
-    want = [i for i in range(m) if min_pinned(oracle, beta, rates, GroundSet(full & ~(1 << i), i)) > rates[i]]
-    assert transmit_set(oracle, beta, rates) == want
+    assert one_pass_set(oracle, beta, rates) == headroom_set(min_pinned, oracle, beta, rates)
 
 
 def test_transmit_set_single_user_and_negative_budget():
@@ -378,10 +400,9 @@ def test_transmit_set_single_user_and_negative_budget():
     oracle = CutSetOracle(generate_instance("raw", 1, 3, FieldSpec(2), seed=0))
     for beta in range(6):
         for r in range(6):
-            assert transmit_set(oracle, beta, [r]) == ([0] if r < beta else [])
-    with pytest.raises(ValueError, match="non-negative"):
-        transmit_set(oracle, -1, [0])
-    for engine in (min_pinned, subgradient_minimizer()):
+            assert one_pass_set(oracle, beta, [r]) == ([0] if r < beta else [])
+            assert headroom_set(min_pinned, oracle, beta, [r]) == ([0] if r < beta else [])
+    for engine in (None, min_pinned, subgradient_minimizer()):
         with pytest.raises(ValueError, match="non-negative"):
             convex_alloc(oracle, -1, FairCost(), minimizer=engine)
     # The incremental rounds on one user: g has two masks, stepped as (1, 2, 1).
@@ -411,7 +432,7 @@ def _outcome(run):
 @settings(max_examples=80, deadline=None)
 def test_incremental_convex_alloc_matches_per_round_transmit_set(kind, m, n, q, data):
     # convex_alloc keeps g and the next-unit costs across rounds; the
-    # reference rebuilds the one-pass transmit set from the rates each round.
+    # reference asks min_pinned for every user's headroom each round.
     inst = generate_instance(kind, m, n, FieldSpec(q), seed=data.draw(st.integers(0, 2**31 - 1)))
     oracle = CutSetOracle(inst)
     need = n - int(oracle.ranks[[1 << i for i in range(m)]].min())
@@ -429,7 +450,7 @@ def test_incremental_convex_alloc_matches_per_round_transmit_set(kind, m, n, q, 
                 if beta < need:  # the start check: the zero vector is outside the polytope
                     assert isinstance(got, tuple) and got[1:] == (beta, 0, 0)
                     continue
-                want = _outcome(lambda: allocate_rounds(m, beta, cost, lambda r: transmit_set(oracle, beta, r), caps))
+                want = _outcome(lambda: convex_alloc(oracle, beta, cost, caps, minimizer=min_pinned))
                 assert got == want
 
 
@@ -721,7 +742,7 @@ def test_convex_rounds_reproduce_greedy_on_linear_costs(kind, m, n, q, data):
 
 
 # ---------------------------------------------------------------------------
-# Capacity restriction oracle
+# Capacity restriction oracle (in dexchange.validate)
 
 
 def test_restriction_reference_value(demo_oracle):
@@ -729,8 +750,6 @@ def test_restriction_reference_value(demo_oracle):
 
 
 def test_restriction_with_loose_caps_equals_partition_value(demo_oracle):
-    from dexchange.model import dilworth_value
-
     caps = (6, 6, 6)
     for s in range(8):
         assert restriction_value(demo_oracle, 5, caps, s) == dilworth_value(

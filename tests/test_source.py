@@ -1,5 +1,6 @@
 """Source hygiene of the package, read with the standard library's ``ast``,
-and the package names the benchmark's tracer hooks."""
+the package's public namespace, and the package names the benchmark's
+tracer hooks."""
 
 import ast
 import types
@@ -35,6 +36,31 @@ def test_checker_flags_unused_and_keeps_used_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_package_modules_import_no_unused_names(path):
     assert unused_imports(path.read_text()) == []
+
+
+#: What ``import dexchange`` offers besides its submodules: the solve path
+#: and its types.  The brute-force oracles are reached through
+#: ``dexchange.validate``, the dual engine through ``subgradient_minimizer()``.
+PUBLIC_NAMES = {
+    "Allocation", "ConstructionFailed", "CutSetOracle", "DecodeReport", "ExchangeState",
+    "FMatrix", "FairCost", "FieldSpec", "GroundSet", "Infeasible", "InfeasibleInstance",
+    "InfeasibleRates", "InstanceError", "LinearCost", "MinCostResult", "NotDecodable",
+    "ProblemInstance", "RngSpec", "RowBasis", "ScheduleEntry", "ShapeError", "SingularSystem",
+    "TableCost", "TableTooLarge", "TransmissionSchedule", "construct_code", "convex_alloc",
+    "decode", "eval_h", "generate_instance", "in_cut_set_region", "instance_from_packet_sets",
+    "load_instance", "load_schedule", "min_cost", "min_pinned", "min_sum_rate",
+    "modified_edmonds", "preset_instance", "randomized_alloc", "rank", "save_instance",
+    "save_schedule", "solve_full_rank", "subgradient_minimizer", "transmit_values",
+    "verify_decodable",
+}
+
+
+def test_package_namespace_is_pinned():
+    import dexchange
+
+    names = {name for name, value in vars(dexchange).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert names == PUBLIC_NAMES
 
 
 def _load_tracing():
