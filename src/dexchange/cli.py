@@ -22,7 +22,6 @@ from .gf import FieldSpec
 from .model import (
     MAX_TABLE_USERS,
     CutSetOracle,
-    InfeasibleInstance,
     InstanceError,
     PRESETS,
     ProblemInstance,
@@ -85,21 +84,17 @@ def _stream(beta: int, attempt: int) -> int:
     return attempt * MAX_BUDGET + beta
 
 
-def _emit(report: dict, human: str) -> None:
-    json.dump(report, sys.stdout, indent=1, default=str)
-    sys.stdout.write("\n")
-    print(human, file=sys.stderr)
-
-
-def _report(command: str, payload: dict, *, digest=None, seed=None, t0=None) -> dict:
+def _emit(command: str, payload: dict, human: str, t0: float, *, digest=None, seed=None) -> None:
+    """Write the JSON report to stdout and the human summary to stderr."""
     report = {"command": command, "payload": payload}
     if digest is not None:
         report["instance_digest"] = digest
     if seed is not None:
         report["seed"] = seed
-    if t0 is not None:
-        report["elapsed_s"] = round(time.perf_counter() - t0, 6)
-    return report
+    report["elapsed_s"] = round(time.perf_counter() - t0, 6)
+    json.dump(report, sys.stdout, indent=1, default=str)
+    sys.stdout.write("\n")
+    print(human, file=sys.stderr)
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -136,6 +131,14 @@ def _load(path: str) -> ProblemInstance:
         raise SystemExit(f"bad instance file: {exc}")
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return json.load(f)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise SystemExit(f"bad {what} file: {exc}")
+
+
 def _load_schedule(path: str, inst: ProblemInstance) -> TransmissionSchedule:
     try:
         schedule = load_schedule(path)
@@ -159,11 +162,7 @@ def _cost_from_args(args, m: int, n_packets: int):
         return FairCost()
     if args.table is None:
         raise SystemExit("--cost table requires --table FILE")
-    try:
-        with open(args.table, "r", encoding="utf-8") as f:
-            derivs = json.load(f)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise SystemExit(f"bad table file: {exc}")
+    derivs = _read_json(args.table, "table")
     # type() rather than isinstance: JSON booleans are ints to Python.
     if not (
         isinstance(derivs, list)
@@ -193,7 +192,7 @@ def cmd_gen(args) -> int:
             inst = generate_instance(
                 args.kind, args.m, args.n, FieldSpec(args.q), coverage=args.rows, seed=args.seed
             )
-    except (InfeasibleInstance, InstanceError, ValueError) as exc:
+    except ValueError as exc:  # InfeasibleInstance and InstanceError among them
         print(f"generation failed: {exc}", file=sys.stderr)
         return EXIT_USAGE
     if args.out:
@@ -227,52 +226,37 @@ def cmd_solve(args) -> int:
         raise SystemExit("--max-retries must be at least 1")
     try:
         if args.backend == "randomized":
-            payload = _solve_randomized(oracle, cost, caps, args)
+            value, alloc, extra = _solve_randomized(oracle, cost, caps, args)
         elif args.beta is not None:
             value, alloc = eval_h(oracle, args.beta, cost, caps)
-            payload = {
-                "feasible": True,
-                "beta": args.beta,
-                "rates": list(alloc.rates),
-                "cost": value,
-            }
+            extra = {}
         else:
             got = min_cost(oracle, cost, caps)
-            payload = {
-                "feasible": True,
-                "beta": got.beta,
-                "rates": list(got.allocation.rates),
-                "cost": got.value,
-                "min_sum_rate": got.min_sum_rate,
-            }
+            value, alloc, extra = got.value, got.allocation, {"min_sum_rate": got.min_sum_rate}
     except Infeasible as exc:
-        report = _report(
-            "solve",
-            {
-                "feasible": False,
-                "error": "infeasible",
-                "beta": exc.beta,
-                "achieved_sum": exc.achieved_sum,
-                "rounds_completed": exc.rounds_completed,
-            },
-            digest=inst.digest(),
-            seed=args.seed,
-            t0=t0,
-        )
-        _emit(report, f"infeasible: {exc}")
+        payload = {
+            "feasible": False,
+            "error": "infeasible",
+            "beta": exc.beta,
+            "achieved_sum": exc.achieved_sum,
+            "rounds_completed": exc.rounds_completed,
+        }
+        _emit("solve", payload, f"infeasible: {exc}", t0, digest=inst.digest(), seed=args.seed)
         return EXIT_INFEASIBLE
     except TableTooLarge as exc:
         raise SystemExit(f"cannot solve exactly: {exc}; --backend randomized needs no rank table")
 
-    report = _report("solve", payload, digest=inst.digest(), seed=args.seed, t0=t0)
-    _emit(report, f"rates {payload['rates']} cost {payload['cost']} beta {payload['beta']}")
+    payload = {"feasible": True, "beta": alloc.beta, "rates": list(alloc.rates), "cost": value, **extra}
+    human = f"rates {payload['rates']} cost {value} beta {alloc.beta}"
+    _emit("solve", payload, human, t0, digest=inst.digest(), seed=args.seed)
     return EXIT_OK
 
 
-def _solve_randomized(oracle, cost, caps, args) -> dict:
+def _solve_randomized(oracle, cost, caps, args):
     """Randomized run at --beta, or a budget search over randomized runs.
 
-    A budget's run is the first of --max-retries attempts at it that
+    Returns ``(value, allocation, extra)`` as the exact paths do.  A
+    budget's run is the first of --max-retries attempts at it that
     completes all rounds with every user decoding, and the budget counts as
     infeasible when none does; small fields make that spurious with
     probability decaying in the attempt count.  Each (beta, attempt) pair
@@ -295,22 +279,15 @@ def _solve_randomized(oracle, cost, caps, args) -> dict:
         )
 
     if args.beta is not None:
-        beta = args.beta
-        value, alloc, schedule = solve(beta)
+        value, alloc, schedule = solve(args.beta)
     else:
         # Budgets below the cut-set floor cannot decode, so they fail without
         # a draw; the probe sequence, and so every output, stays the same.
         hi = budget_ceiling(inst.n_packets, caps)
-        _, beta, (value, alloc, schedule) = optimal_budget(solve, hi, floor=inst.sum_rate_floor())
+        _, _, (value, alloc, schedule) = optimal_budget(solve, hi, floor=inst.sum_rate_floor())
     if args.schedule_out:
         _write(save_schedule, schedule, args.schedule_out)
-    return {
-        "feasible": True,
-        "beta": beta,
-        "rates": list(alloc.rates),
-        "cost": value,
-        "schedule": args.schedule_out,
-    }
+    return value, alloc, {"schedule": args.schedule_out}
 
 
 def cmd_code(args) -> int:
@@ -337,21 +314,12 @@ def cmd_code(args) -> int:
             inst, args.rates, RngSpec(args.seed, args.stream), max_retries=args.max_retries
         )
     except InfeasibleRates as exc:
-        _emit(
-            _report("code", {"error": "infeasible-rates", "detail": str(exc)}, digest=inst.digest(), t0=t0),
-            f"infeasible rates: {exc}",
-        )
+        payload = {"error": "infeasible-rates", "detail": str(exc)}
+        _emit("code", payload, f"infeasible rates: {exc}", t0, digest=inst.digest())
         return EXIT_INFEASIBLE
     except ConstructionFailed as exc:
-        _emit(
-            _report(
-                "code",
-                {"error": "construction-failed", "attempts": exc.attempts},
-                digest=inst.digest(),
-                t0=t0,
-            ),
-            f"construction failed: {exc}",
-        )
+        payload = {"error": "construction-failed", "attempts": exc.attempts}
+        _emit("code", payload, f"construction failed: {exc}", t0, digest=inst.digest())
         return EXIT_CONSTRUCTION
     _write(save_schedule, schedule, args.out)
     payload = {
@@ -359,10 +327,8 @@ def cmd_code(args) -> int:
         "rates": list(schedule.counts(inst.m)),
         "cut_set_checked": checked,
     }
-    _emit(
-        _report("code", payload, digest=inst.digest(), seed=args.seed, t0=t0),
-        f"wrote {args.out} ({len(schedule.entries)} transmissions)",
-    )
+    human = f"wrote {args.out} ({len(schedule.entries)} transmissions)"
+    _emit("code", payload, human, t0, digest=inst.digest(), seed=args.seed)
     return EXIT_OK
 
 
@@ -375,10 +341,8 @@ def cmd_verify(args) -> int:
         "per_user": list(report.per_user),
         "all_ok": report.all_ok,
     }
-    _emit(
-        _report("verify", payload, digest=inst.digest(), t0=t0),
-        "all users decodable" if report.all_ok else f"decodability: {list(report.per_user)}",
-    )
+    human = "all users decodable" if report.all_ok else f"decodability: {list(report.per_user)}"
+    _emit("verify", payload, human, t0, digest=inst.digest())
     return EXIT_OK if report.all_ok else EXIT_DECODE
 
 
@@ -389,11 +353,7 @@ def cmd_decode(args) -> int:
         raise SystemExit(f"--user must lie in [0, {inst.m})")
     schedule = _load_schedule(args.schedule, inst)
     if args.truth:
-        try:
-            with open(args.truth, "r", encoding="utf-8") as f:
-                truth = json.load(f)
-        except (OSError, ValueError, RecursionError) as exc:
-            raise SystemExit(f"bad truth file: {exc}")
+        truth = _read_json(args.truth, "truth")
         if not isinstance(truth, list) or len(truth) != inst.n_packets:
             raise SystemExit(f"truth must list {inst.n_packets} packets")
         # type() rather than isinstance: JSON booleans are ints to Python.
@@ -410,10 +370,8 @@ def cmd_decode(args) -> int:
     try:
         recovered = decode(inst, args.user, schedule, observed, received)
     except NotDecodable as exc:
-        _emit(
-            _report("decode", {"error": "not-decodable", "user": args.user}, digest=inst.digest(), t0=t0),
-            f"user {args.user}: {exc}",
-        )
+        payload = {"error": "not-decodable", "user": args.user}
+        _emit("decode", payload, f"user {args.user}: {exc}", t0, digest=inst.digest())
         return EXIT_DECODE
     match = bool(np.array_equal(recovered, w))
     payload = {
@@ -421,10 +379,8 @@ def cmd_decode(args) -> int:
         "packets": [int(v) for v in recovered],
         "matches_truth": match,
     }
-    _emit(
-        _report("decode", payload, digest=inst.digest(), seed=args.seed, t0=t0),
-        f"user {args.user} decoded; match={match}",
-    )
+    human = f"user {args.user} decoded; match={match}"
+    _emit("decode", payload, human, t0, digest=inst.digest(), seed=args.seed)
     return EXIT_OK if match else EXIT_DECODE
 
 
@@ -463,8 +419,8 @@ def cmd_validate(args) -> int:
         "checks": len(results),
         "failures": [{"name": r.name, "detail": r.detail} for r in failures],
     }
-    report = _report("validate", payload, seed=args.seed, t0=t0)
-    _emit(report, f"{len(results) - len(failures)}/{len(results)} checks passed")
+    human = f"{len(results) - len(failures)}/{len(results)} checks passed"
+    _emit("validate", payload, human, t0, seed=args.seed)
     if failures:
         _write(_save_failures, payload["failures"], args.artifact)
         print(f"counterexamples written to {args.artifact}", file=sys.stderr)

@@ -28,9 +28,10 @@ MAX_USERS = 30
 #: Largest user count whose 2^m joint-rank table is built (8 MB of int64).
 MAX_TABLE_USERS = 20
 #: Most matrix entries, sum of coverage times N, that :func:`generate_instance`
-#: draws (32 MiB of int64).  A full-rank draw has at least N rows, so this caps
-#: N at 2,048, and the m N x N int64 bases an exchange over the instance keeps
-#: at m x 32 MiB (960 MiB at MAX_USERS).
+#: draws and an instance document may hold (32 MiB of int64).  A full-rank
+#: instance has at least N rows, so this caps N at 2,048, and the m N x N int64
+#: bases an exchange over the instance keeps at m x 32 MiB (960 MiB at
+#: MAX_USERS).
 MAX_DRAW_ENTRIES = 1 << 22
 
 #: Packet subsets for the bundled three-user, six-packet demo instance.
@@ -121,6 +122,10 @@ class ProblemInstance:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ProblemInstance":
+        """Validate and build an instance.  A document of more than
+        MAX_DRAW_ENTRIES matrix entries is refused at the first user that
+        takes the running total over the cap, before that user's rows are
+        read."""
         if not isinstance(data, dict):
             raise InstanceError("instance document must be a JSON object")
         try:
@@ -141,10 +146,17 @@ class ProblemInstance:
         if not isinstance(users, list) or not users:
             raise InstanceError("users must be a non-empty list")
         mats = []
+        total = 0
         for i, entry in enumerate(users):
             rows = entry.get("rows") if isinstance(entry, dict) else None
             if rows is None or not isinstance(rows, list):
                 raise InstanceError(f"user {i}: expected an object with a 'rows' list")
+            total += len(rows)
+            if total * n > MAX_DRAW_ENTRIES:
+                raise InstanceError(
+                    f"{total * n} matrix entries ({total} rows of {n} packets in users 0 to {i}) "
+                    f"exceed the cap of {MAX_DRAW_ENTRIES}"
+                )
             for row in rows:
                 if not isinstance(row, list) or len(row) != n:
                     raise InstanceError(f"user {i}: rows must all have length {n}")

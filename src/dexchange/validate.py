@@ -22,6 +22,7 @@ from .gf import FieldSpec
 from .model import (
     PRESETS,
     CutSetOracle,
+    InfeasibleInstance,
     generate_instance,
     members,
     preset_instance,
@@ -205,7 +206,7 @@ def suite_instances(count=50, seed=0, max_m=4, max_n=6, qs=(2, 3, 5, 257)):
         sub_seed = int(rng.integers(0, 2**31))
         try:
             inst = generate_instance(kind, m, n, FieldSpec(q), seed=sub_seed)
-        except Exception:
+        except InfeasibleInstance:  # no spanning draw at this size
             continue
         out.append(inst)
     return out
@@ -312,15 +313,16 @@ def run_feasibility_vs_partitions(instances) -> list[CheckResult]:
         unit = (1,) * inst.m
         bad = None
         for beta in range(inst.n_packets + 1):
+            partition_value = dilworth_value(oracle, beta, inst.full_mask)
             try:
                 modified_edmonds(oracle, beta, unit)
                 greedy_ok = True
             except Infeasible as exc:
                 greedy_ok = False
-                if exc.achieved_sum != dilworth_value(oracle, beta, inst.full_mask):
+                if exc.achieved_sum != partition_value:
                     bad = {"beta": beta, "kind": "achieved-sum"}
                     break
-            partition_ok = dilworth_value(oracle, beta, inst.full_mask) == beta
+            partition_ok = partition_value == beta
             if greedy_ok != partition_ok:
                 bad = {"beta": beta, "greedy": greedy_ok, "partitions": partition_ok}
                 break

@@ -567,6 +567,92 @@ def test_exit_code_contract(instance_file, tmp_path, capsys, monkeypatch, argv, 
         assert (report is None) == ("--out" in argv)
 
 
+@pytest.mark.parametrize("cap, expected", [(59, 1), (60, 0)])
+def test_solve_refuses_instance_files_over_the_entry_cap(instance_file, capsys, monkeypatch, cap, expected):
+    # The demo instance holds 10 rows of 6 packets: 60 matrix entries.
+    import dexchange.model as model
+
+    monkeypatch.setattr(model, "MAX_DRAW_ENTRIES", cap)
+    code, report, err = run(capsys, "solve", instance_file, "--cost", "fair")
+    assert code == expected
+    if code == 1:
+        assert report is None
+        assert err.startswith("bad instance file: 60 matrix entries") and "exceed the cap of 59" in err
+
+
+SOLVED = ("feasible", "beta", "rates", "cost")
+TOP_KEYS = ("command", "payload", "instance_digest", "seed", "elapsed_s")
+
+
+@pytest.mark.parametrize(
+    "argv, expected, top, keys",
+    [
+        pytest.param(
+            ["solve", "{instance}", "--cost", "fair", "--beta", "5"], 0, TOP_KEYS, SOLVED, id="solve-beta"
+        ),
+        pytest.param(
+            ["solve", "{instance}", "--cost", "fair"], 0, TOP_KEYS, SOLVED + ("min_sum_rate",), id="solve-search"
+        ),
+        pytest.param(
+            ["solve", "{instance}", "--cost", "fair", "--backend", "randomized", "--schedule-out", "{out}"],
+            0,
+            TOP_KEYS,
+            SOLVED + ("schedule",),
+            id="solve-randomized",
+        ),
+        pytest.param(
+            ["solve", "{instance}", "--cost", "fair", "--beta", "4"],
+            2,
+            TOP_KEYS,
+            ("feasible", "error", "beta", "achieved_sum", "rounds_completed"),
+            id="solve-infeasible",
+        ),
+        pytest.param(
+            ["code", "{instance}", "--rates", "1,1,3", "--out", "{out}"],
+            0,
+            TOP_KEYS,
+            ("schedule", "rates", "cut_set_checked"),
+            id="code",
+        ),
+        pytest.param(
+            ["code", "{instance}", "--rates", "1,1,1", "--out", "{out}"],
+            2,
+            ("command", "payload", "instance_digest", "elapsed_s"),
+            ("error", "detail"),
+            id="code-infeasible",
+        ),
+        pytest.param(
+            ["verify", "{instance}", "{sched}"],
+            0,
+            ("command", "payload", "instance_digest", "elapsed_s"),
+            ("per_user", "all_ok"),
+            id="verify",
+        ),
+        pytest.param(
+            ["decode", "{instance}", "{sched}", "--user", "0"],
+            0,
+            TOP_KEYS,
+            ("user", "packets", "matches_truth"),
+            id="decode",
+        ),
+        pytest.param(
+            ["validate", "--suite", "paper-examples"],
+            0,
+            ("command", "payload", "seed", "elapsed_s"),
+            ("checks", "failures"),
+            id="validate",
+        ),
+    ],
+)
+def test_report_keys_are_pinned(instance_file, tmp_path, capsys, argv, expected, top, keys):
+    paths = {"out": str(tmp_path / "out.json"), "sched": str(tmp_path / "sched.json")}
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", paths["sched"])[0] == 0
+    code, report, _ = run(capsys, *(a.format(instance=instance_file, **paths) for a in argv))
+    assert code == expected
+    assert tuple(report) == top and report["command"] == argv[0]
+    assert tuple(report["payload"]) == keys
+
+
 @pytest.mark.parametrize("blob", [b"not json", b"\xff\xfe{}"], ids=["not-json", "not-utf8"])
 @pytest.mark.parametrize("cmd", ["solve", "verify"])
 def test_instance_file_that_is_not_json_exits_1(tmp_path, capsys, cmd, blob):

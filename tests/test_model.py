@@ -269,6 +269,24 @@ def test_generate_refuses_draws_over_the_entry_cap(monkeypatch):
         generate_instance("raw", 2, 3, FieldSpec(2), coverage=(3, 2))
 
 
+def test_instance_loader_refuses_documents_over_the_entry_cap(monkeypatch):
+    # Refused before the user's rows are read: its one row is not even a list.
+    top = model.MAX_DRAW_ENTRIES
+    with pytest.raises(InstanceError, match=rf"^{top + 1} matrix entries .* exceed the cap of {top}$"):
+        ProblemInstance.from_json_dict({"q": 2, "N": top + 1, "users": [{"rows": ["x"]}]})
+    # The demo document's users hold 2, 4 and 4 rows of 6 packets: 60 entries.
+    monkeypatch.setattr(model, "MAX_DRAW_ENTRIES", 60)
+    assert ProblemInstance.from_json_dict(DEMO_DOC).m == 3
+    monkeypatch.setattr(model, "MAX_DRAW_ENTRIES", 59)
+    with pytest.raises(InstanceError, match=r"^60 matrix entries \(10 rows of 6 packets in users 0 to 2\)"):
+        ProblemInstance.from_json_dict(DEMO_DOC)
+    # Over the cap at the first user: no matrix is built.
+    monkeypatch.setattr(model, "MAX_DRAW_ENTRIES", 11)
+    monkeypatch.setattr(model, "FMatrix", lambda *a, **k: pytest.fail("built a matrix over the cap"))
+    with pytest.raises(InstanceError, match=r"^12 matrix entries \(2 rows of 6 packets in users 0 to 0\)"):
+        ProblemInstance.from_json_dict(DEMO_DOC)
+
+
 @given(
     st.sampled_from(("raw", "coded")),
     st.integers(1, 6),

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import numpy as np
@@ -24,7 +25,7 @@ from dexchange.netcode import (
     transmit_values,
     verify_decodable,
 )
-from dexchange.ratealloc import FairCost, GroundSet, Infeasible, LinearCost, min_pinned
+from dexchange.ratealloc import FairCost, GroundSet, Infeasible, LinearCost, min_cost, min_pinned
 
 # A hand-checked reference run over GF(19) on the demo instance with a
 # uniform cost and budget 5: per-round sender and combining coefficients,
@@ -438,3 +439,28 @@ def test_schedule_validation_over_entry_mutations(demo, mutations):
 def test_schedule_loader_rejects_malformed_documents(doc):
     with pytest.raises(ValueError, match="malformed"):
         TransmissionSchedule.from_json_dict(doc)
+
+
+def test_seeded_draws_are_pinned():
+    # One hash over randomized_alloc's rates, schedule and decode flags and
+    # construct_code's schedule or failure, for q in {2, 3, 17, 257}, raw and
+    # coded, m=4, N=8, seeds 0-2: a change to either draw stream moves it.
+    records = []
+    for q in (2, 3, 17, 257):
+        for kind in ("raw", "coded"):
+            for seed in range(3):
+                inst = generate_instance(kind, 4, 8, FieldSpec(q), seed=seed)
+                oracle = CutSetOracle(inst)
+                best = min_cost(oracle, FairCost())
+                try:
+                    alloc, schedule, report = randomized_alloc(oracle, best.beta, FairCost(), rng=RngSpec(seed))
+                    records.append([alloc.rates, schedule.to_json_dict(), report.per_user, report.all_ok])
+                except Infeasible as exc:
+                    records.append(["infeasible", exc.achieved_sum])
+                try:
+                    schedule = construct_code(inst, best.allocation.rates, RngSpec(seed), max_retries=2)
+                    records.append(schedule.to_json_dict())
+                except ConstructionFailed as exc:
+                    records.append(["construction-failed", exc.attempts])
+    blob = json.dumps(records, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == "d2af59a3281ec609"
