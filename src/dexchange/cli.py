@@ -27,6 +27,7 @@ from .model import (
     ProblemInstance,
     TableTooLarge,
     generate_instance,
+    json_text,
     load_instance,
     preset_instance,
     save_instance,
@@ -198,8 +199,7 @@ def cmd_gen(args) -> int:
     if args.out:
         _write(save_instance, inst, args.out)
     else:
-        json.dump(inst.to_json_dict(), sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        sys.stdout.write(json_text(inst.to_json_dict()) + "\n")
     print(
         f"instance {inst.digest()}: m={inst.m} N={inst.n_packets} q={inst.field.p} "
         f"({time.perf_counter() - t0:.3f}s)",

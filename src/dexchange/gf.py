@@ -4,12 +4,14 @@ Every rank oracle, decodability check and decoding step in this package sits
 on top of this module.  Matrices are small and dense at the scale we target,
 so the implementation favors clarity and reproducibility over asymptotics.
 One incremental Gauss-Jordan basis, :class:`RowBasis`, serves ranks, solves
-and the randomized allocator's exchange state: rows are taken top to bottom,
-each pivoted on its first nonzero entry once reduced, which keeps the basis
-in reduced row echelon form.  Matrices are immutable after construction and
-all operations are pure, so they can be shared freely across threads.  The
-coded rank table instead eliminates a whole batch of matrices at once with
-the fraction-free ``_eliminate_leading``, on unsigned entries.
+and decodability checks: rows are taken top to bottom, each pivoted on its
+first nonzero entry once reduced, which keeps the basis in reduced row
+echelon form.  The randomized allocator's exchange state tracks ranks by
+parity checks, which :meth:`RowBasis.checks` reads off that form.  Matrices
+are immutable after construction and all operations are pure, so they can be
+shared freely across threads.  The coded rank table instead eliminates a
+whole batch of matrices at once with the fraction-free
+``_eliminate_leading``, on unsigned entries.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def solve_full_rank(m: FMatrix, rhs) -> np.ndarray:
 class RowBasis:
     """Incremental basis of a row space over GF(p), kept in reduced row
     echelon form.  It is the one Gauss-Jordan reduction in this module:
-    ranks, solves and the randomized allocator's per-user spans all grow one.
+    ranks, solves and decodability checks all grow one.
 
     Each new row is reduced against the basis with one matmul, pivoted on
     its first nonzero entry, normalised, and folded into the old rows.
@@ -214,14 +216,37 @@ class RowBasis:
         self.rank = 0
         self._rows = np.zeros((cols, cols), dtype=np.int64)
         self._pivots = np.zeros(cols, dtype=np.intp)
+        self.extend(rows)
+
+    def extend(self, rows) -> None:
+        """Add the rows of a 2-D array in order, stopping at full rank."""
         x = np.asarray(rows, dtype=np.int64)
         if x.size:
-            if x.ndim != 2 or x.shape[1] != cols:
-                raise ShapeError(f"rows of length {cols} required, got shape {x.shape}")
-            for row in x % field.p:
-                if self.rank == cols:
+            if x.ndim != 2 or x.shape[1] != self.cols:
+                raise ShapeError(f"rows of length {self.cols} required, got shape {x.shape}")
+            for row in x % self.field.p:
+                if self.rank == self.cols:
                     break
                 self._add(row)
+
+    def copy(self) -> "RowBasis":
+        """An independent basis of the same row space."""
+        other = RowBasis(self.field, self.cols)
+        other.rank = self.rank
+        other._rows[:] = self._rows
+        other._pivots[:] = self._pivots
+        return other
+
+    def checks(self) -> np.ndarray:
+        """Rows spanning the vectors orthogonal to this row space, one per
+        column f without a pivot: 1 at f and ``-R[:, f]`` at the pivot
+        columns, so each is orthogonal to every basis row R."""
+        pivots = self._pivots[: self.rank]
+        free = np.setdiff1d(np.arange(self.cols), pivots)
+        out = np.zeros((free.size, self.cols), dtype=np.int64)
+        out[np.arange(free.size), free] = 1
+        out[:, pivots] = -self._rows[: self.rank, free].T % self.field.p
+        return out
 
     def add(self, row) -> bool:
         """Add one row; returns True if the rank grew."""

@@ -15,24 +15,34 @@ certifies them is in :mod:`dexchange.validate`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .gf import FieldSpec, FMatrix, _eliminate_leading, rank
+from .gf import FieldSpec, FMatrix, RowBasis, _eliminate_leading, rank
 
 MAX_USERS = 30
 #: Largest user count whose 2^m joint-rank table is built (8 MB of int64).
 MAX_TABLE_USERS = 20
 #: Most matrix entries, sum of coverage times N, that :func:`generate_instance`
 #: draws and an instance document may hold (32 MiB of int64).  A full-rank
-#: instance has at least N rows, so this caps N at 2,048, and the m N x N int64
-#: bases an exchange over the instance keeps at m x 32 MiB (960 MiB at
-#: MAX_USERS).
+#: instance has at least N rows, so this caps N at 2,048, and the parity
+#: checks an exchange over the instance keeps at m N rows of N int64 entries
+#: (960 MiB at MAX_USERS).  A schedule document may hold as many entries,
+#: broadcasts times N.
 MAX_DRAW_ENTRIES = 1 << 22
+#: Bytes per matrix entry of the largest instance file :func:`json_text`
+#: writes at MAX_DRAW_ENTRIES: one-entry rows of 7-digit entries (MAX_MODULUS
+#: - 1 has 7), each ``[\n     1048575\n    ]`` plus the ``,\n    `` before the
+#: next.  Instance and schedule files over this many bytes per allowed entry,
+#: plus 1 KiB, are refused before they are parsed.
+FILE_BYTES_PER_ENTRY = 26
 
 #: Packet subsets for the bundled three-user, six-packet demo instance.
 PRESETS = {
@@ -100,6 +110,18 @@ class ProblemInstance:
     @property
     def m(self) -> int:
         return len(self.observations)
+
+    @functools.cached_property
+    def span_checks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every user's :meth:`RowBasis.checks`, stacked user by user, and the
+        user owning each row; both read-only.  A vector lies in user i's span
+        exactly when each of user i's rows is orthogonal to it."""
+        blocks = [RowBasis(self.field, self.n_packets, obs.array).checks() for obs in self.observations]
+        checks = np.concatenate(blocks)
+        owner = np.repeat(np.arange(self.m), [len(b) for b in blocks])
+        checks.setflags(write=False)
+        owner.setflags(write=False)
+        return checks, owner
 
     def sum_rate_floor(self) -> int:
         """:func:`singleton_floor` from m eliminations and no rank table."""
@@ -174,8 +196,35 @@ class ProblemInstance:
         return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+def json_text(doc, pad: str = "\n") -> str:
+    """``json.dumps(doc, indent=1)`` for dicts with str keys, lists, tuples,
+    ints, strs and None, built by joins: a list of ints is one join, where the
+    indenting encoder makes a call and a write per token."""
+    inner = pad + " "
+    if isinstance(doc, dict):
+        items = (encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in doc.items())
+    elif isinstance(doc, (list, tuple)):
+        ints = all(type(v) is int for v in doc)
+        items = map(int.__repr__, doc) if ints else (json_text(v, inner) for v in doc)
+    else:
+        return json.dumps(doc)
+    body = ("," + inner).join(items)
+    brackets = "{}" if isinstance(doc, dict) else "[]"
+    return brackets[0] + inner + body + pad + brackets[1] if body else brackets
+
+
+def refuse_oversize(f, error=ValueError) -> None:
+    """Raise ``error`` when the open file ``f`` holds more than
+    FILE_BYTES_PER_ENTRY bytes per entry of MAX_DRAW_ENTRIES, plus 1 KiB."""
+    size = os.fstat(f.fileno()).st_size
+    ceiling = FILE_BYTES_PER_ENTRY * MAX_DRAW_ENTRIES + 1024
+    if size > ceiling:
+        raise error(f"file of {size} bytes exceeds the ceiling of {ceiling} bytes")
+
+
 def load_instance(path) -> ProblemInstance:
     with open(path, "r", encoding="utf-8") as f:
+        refuse_oversize(f, InstanceError)
         try:
             data = json.load(f)
         except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
@@ -185,8 +234,7 @@ def load_instance(path) -> ProblemInstance:
 
 def save_instance(instance: ProblemInstance, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(instance.to_json_dict(), f, indent=1)
-        f.write("\n")
+        f.write(json_text(instance.to_json_dict()) + "\n")
 
 
 def instance_from_packet_sets(field: FieldSpec, n_packets: int, packet_sets) -> ProblemInstance:

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import FMatrix, RowBasis, SingularSystem, rank, solve_full_rank
-from .model import MAX_TABLE_USERS, CutSetOracle, ProblemInstance, in_cut_set_region
+from .model import (
+    MAX_DRAW_ENTRIES,
+    MAX_TABLE_USERS,
+    CutSetOracle,
+    ProblemInstance,
+    in_cut_set_region,
+    json_text,
+    refuse_oversize,
+)
 from .ratealloc import Allocation, _check_caps, allocate_rounds
 
 
@@ -128,6 +136,11 @@ class TransmissionSchedule:
             n = _json_int(data["N"], "N")
             if type(data["entries"]) is not list:
                 raise TypeError("entries must be a list")
+            if len(data["entries"]) * n > MAX_DRAW_ENTRIES:
+                raise ValueError(
+                    f"{len(data['entries'])} broadcasts of {n} packets exceed the cap of "
+                    f"{MAX_DRAW_ENTRIES} matrix entries"
+                )
             entries = tuple(
                 ScheduleEntry(
                     round=_json_int(e["round"], f"entry {k}: rounds must run 1, 2, ...; round"),
@@ -149,13 +162,13 @@ class TransmissionSchedule:
 
 def load_schedule(path) -> TransmissionSchedule:
     with open(path, "r", encoding="utf-8") as f:
+        refuse_oversize(f)
         return TransmissionSchedule.from_json_dict(json.load(f))
 
 
 def save_schedule(schedule: TransmissionSchedule, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(schedule.to_json_dict(), f, indent=1)
-        f.write("\n")
+        f.write(json_text(schedule.to_json_dict()) + "\n")
 
 
 @dataclass(frozen=True)
@@ -165,13 +178,17 @@ class DecodeReport:
 
 
 class ExchangeState:
-    """Round-by-round exchange state with incremental rank tracking.
+    """Round-by-round exchange state that tracks each user's rank through
+    parity checks.
 
-    Keeps one reduced row basis per user (their observation rows plus every
-    broadcast row so far), so the per-round transmit set and the decode
-    report come from rank lookups instead of re-eliminating stacks.  A user
-    may transmit while its span, given the rounds still remaining, can still
-    reach full rank.
+    User i's span is its observation rows plus every broadcast so far.  The
+    state keeps N - rank_i check rows spanning the vectors orthogonal to it,
+    stacked for all users (starting from :attr:`ProblemInstance.span_checks`,
+    which it never writes to).  A broadcast u costs one product d = K u: a
+    user with a nonzero d_j gains one rank, its every check k becomes
+    K_k - (d_k / d_j) K_j, orthogonal to u, and its first such check j is
+    dropped.  The sender's own d is zero.  A user may transmit while its
+    span, given the rounds still remaining, can still reach full rank.
     """
 
     def __init__(self, instance: ProblemInstance, beta: int):
@@ -181,14 +198,12 @@ class ExchangeState:
         self.beta = beta
         self.round = 1
         self.entries: list[ScheduleEntry] = []
-        self._spans = [
-            RowBasis(instance.field, instance.n_packets, obs.array)
-            for obs in instance.observations
-        ]
+        self._checks, self._owner = instance.span_checks
+        self._ranks = instance.n_packets - np.bincount(self._owner, minlength=instance.m)
 
     def transmit_set(self) -> list[int]:
         threshold = self.instance.n_packets - (self.beta - self.round + 1)
-        return [i for i in range(self.instance.m) if self._spans[i].rank > threshold]
+        return np.flatnonzero(self._ranks > threshold).tolist()
 
     def step(self, user: int, coeffs) -> ScheduleEntry:
         """Record a broadcast by ``user`` with the given combining row."""
@@ -198,20 +213,33 @@ class ExchangeState:
         entry = ScheduleEntry(
             round=self.round,
             user=user,
-            coeffs=tuple(int(v) for v in np.asarray(coeffs, dtype=np.int64)),
-            combo=tuple(int(v) for v in u),
+            coeffs=tuple(np.asarray(coeffs, dtype=np.int64).tolist()),
+            combo=tuple(u.tolist()),
         )
-        # The sender's own span already holds u, a combination of its rows.
-        for i, span in enumerate(self._spans):
-            if i != user:
-                span.add(u)
+        p, owner = self.instance.field.p, self._owner
+        d = self._checks @ u % p
+        hit = d.nonzero()[0]
+        if hit.size:
+            # Rows are grouped by owner, so a group's first hit is where the owner changes.
+            first = hit[np.flatnonzero(np.diff(owner[hit], prepend=-1))]
+            gaining = owner[first]
+            inv = np.zeros(self.instance.m, dtype=np.int64)
+            inv[gaining] = [pow(v, p - 2, p) for v in d[first].tolist()]
+            pivot = np.zeros(self.instance.m, dtype=np.intp)
+            pivot[gaining] = first
+            f = d * inv[owner] % p
+            checks = (self._checks - f[:, None] * self._checks[pivot[owner]]) % p
+            keep = np.ones(owner.size, dtype=bool)
+            keep[first] = False
+            self._checks, self._owner = checks[keep], owner[keep]
+            self._ranks[gaining] += 1
         self.entries.append(entry)
         self.round += 1
         return entry
 
     def report(self) -> DecodeReport:
         """Decodability so far: a user decodes once its span is the packet space."""
-        flags = tuple(span.rank == self.instance.n_packets for span in self._spans)
+        flags = tuple(r == self.instance.n_packets for r in self._ranks.tolist())
         return DecodeReport(flags, all(flags))
 
 
@@ -223,7 +251,7 @@ def randomized_alloc(
     Runs :func:`ratealloc.allocate_rounds` with the rank-based transmit set
     in place of the polyhedral check; the cheapest eligible user broadcasts
     a fresh uniform combination of its rows.  The report says which users
-    decode the drawn schedule, read off the per-user bases the run keeps; a
+    decode the drawn schedule, read off the ranks the run keeps; a
     completed run fails to decode with probability at most
     ``1 - (1 - m/q)^beta``.
     """
@@ -247,13 +275,17 @@ def verify_decodable(instance: ProblemInstance, schedule: TransmissionSchedule) 
     rows stacked with all schedule rows span the packet space.
     """
     rows = schedule.combo_rows()
-    if rows.shape[1] != instance.n_packets:
+    n = instance.n_packets
+    if rows.shape[1] != n:
         raise ValueError("schedule rows do not match the instance packet count")
-    combos = FMatrix(instance.field, rows, cols=instance.n_packets)
+    # Rank does not depend on row order: eliminate the schedule rows once and
+    # add each user's rows to a copy.
+    shared = RowBasis(instance.field, n, rows)
     flags = []
     for obs in instance.observations:
-        stacked = FMatrix.vstack(instance.field, [obs, combos], cols=instance.n_packets)
-        flags.append(rank(stacked) == instance.n_packets)
+        basis = shared.copy()
+        basis.extend(obs.array)
+        flags.append(basis.rank == n)
     return DecodeReport(tuple(flags), all(flags))
 
 
@@ -266,11 +298,12 @@ def construct_code(
     """Draw a decodable schedule realizing ``rates``.
 
     Rejects rate vectors outside the cut-set region; above MAX_TABLE_USERS
-    users there is no rank table and that check is skipped.  Draws all
-    combining rows uniformly through an :class:`ExchangeState`, sender by
-    sender, accepts the first draw every user decodes, and raises
-    :class:`ConstructionFailed` once the retry budget is spent; that points
-    at a field too small for the user count.
+    users there is no rank table and that check is skipped.  Each attempt
+    draws every combining row uniformly, sender by sender, and is then
+    checked once by :func:`verify_decodable`; the first attempt every user
+    decodes is returned, and :class:`ConstructionFailed` is raised once the
+    retry budget is spent, which points at a field too small for the user
+    count.
     """
     rates = tuple(int(r) for r in rates)
     if len(rates) != instance.m or any(r < 0 for r in rates):
@@ -280,12 +313,18 @@ def construct_code(
     gen = rng.generator()
     p = instance.field.p
     for _ in range(max_retries):
-        state = ExchangeState(instance, sum(rates))
+        entries = []
         for user, count in enumerate(rates):
+            obs = instance.observations[user]
             for _ in range(count):
-                state.step(user, gen.integers(0, p, size=instance.observations[user].rows))
-        if state.report().all_ok:
-            return TransmissionSchedule(p, instance.n_packets, tuple(state.entries), rng)
+                coeffs = gen.integers(0, p, size=obs.rows)
+                combo = obs.combine_rows(coeffs)
+                entries.append(
+                    ScheduleEntry(len(entries) + 1, user, tuple(coeffs.tolist()), tuple(combo.tolist()))
+                )
+        schedule = TransmissionSchedule(p, instance.n_packets, tuple(entries), rng)
+        if verify_decodable(instance, schedule).all_ok:
+            return schedule
     raise ConstructionFailed(
         f"no decodable draw in {max_retries} attempts; consider a larger field",
         attempts=max_retries,

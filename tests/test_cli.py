@@ -580,6 +580,54 @@ def test_solve_refuses_instance_files_over_the_entry_cap(instance_file, capsys, 
         assert err.startswith("bad instance file: 60 matrix entries") and "exceed the cap of 59" in err
 
 
+OVER_CEILING = "exceeds the ceiling of 2584 bytes"
+
+
+@pytest.mark.parametrize(
+    "argv, expected, message",
+    [
+        pytest.param(["solve", "{at_ceiling}", "--cost", "fair"], 0, None, id="solve-at-ceiling-0"),
+        pytest.param(["solve", "{over_ceiling}", "--cost", "fair"], 1, OVER_CEILING, id="solve-over-ceiling-1"),
+        pytest.param(["verify", "{instance}", "{sched_over_ceiling}"], 1, OVER_CEILING, id="verify-over-ceiling-1"),
+        pytest.param(
+            ["decode", "{instance}", "{sched_over_ceiling}", "--user", "0"], 1, OVER_CEILING,
+            id="decode-over-ceiling-1",
+        ),
+        pytest.param(
+            ["verify", "{instance}", "{sched_over_cap}"], 1, "exceed the cap of 4194304 matrix entries",
+            id="verify-over-entry-cap-1",
+        ),
+    ],
+)
+def test_file_boundary_exit_codes(instance_file, tmp_path, capsys, monkeypatch, argv, expected, message):
+    # With the entry cap at the demo's 60 the file ceiling is 26 * 60 + 1024
+    # = 2,584 bytes.  Files padded with spaces are still valid JSON, so only
+    # their size refuses them.  The schedule over 10^7 packets is refused by
+    # the real cap before any of its entries is read.
+    import dexchange.model as model
+
+    monkeypatch.setattr(model, "MAX_DRAW_ENTRIES", 60)
+    sched = tmp_path / "sched.json"
+    assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", str(sched))[0] == 0
+    paths = {"instance": instance_file, "sched_over_cap": str(tmp_path / "wide.json")}
+    for name, source, size in (
+        ("at_ceiling", instance_file, 2584),
+        ("over_ceiling", instance_file, 2585),
+        ("sched_over_ceiling", sched, 2585),
+    ):
+        text = open(source, encoding="utf-8").read()
+        paths[name] = str(tmp_path / f"{name}.json")
+        with open(paths[name], "w", encoding="utf-8") as f:
+            f.write(text + " " * (size - len(text)))
+    with open(paths["sched_over_cap"], "w", encoding="utf-8") as f:
+        json.dump({"q": 257, "N": 10**7, "entries": [{"round": 1, "user": 0, "b": [1, 0], "u": []}]}, f)
+    code, report, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == expected
+    assert "Traceback" not in err
+    if message is not None:
+        assert report is None and message in err
+
+
 SOLVED = ("feasible", "beta", "rates", "cost")
 TOP_KEYS = ("command", "payload", "instance_digest", "seed", "elapsed_s")
 

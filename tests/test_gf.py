@@ -281,3 +281,24 @@ def test_eliminate_leading_worst_case_operands_fit_uint32():
 
 def test_is_prime_small_values():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def test_row_basis_copy_is_independent():
+    f = FieldSpec(7)
+    a = RowBasis(f, 3, [[1, 2, 3]])
+    b = a.copy()
+    assert b.add([0, 1, 0]) and (a.rank, b.rank) == (1, 2)
+    assert a.add([0, 0, 1]) and a._pivots[1] == 2 and b._pivots[1] == 1
+    assert np.array_equal(b._rows[:2], RowBasis(f, 3, [[1, 2, 3], [0, 1, 0]])._rows[:2])
+
+
+@given(matrices(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_row_basis_checks_span_the_orthogonal_complement(m, data):
+    # Each check row is orthogonal to every row of the matrix, and the
+    # checks are independent, so they span all N - rank such vectors.
+    checks = RowBasis(m.field, m.cols, m.array).checks()
+    r = rank(m)
+    assert checks.shape == (m.cols - r, m.cols)
+    assert not (m.array @ checks.T % m.field.p).any()
+    assert rank(FMatrix(m.field, checks, cols=m.cols)) == m.cols - r

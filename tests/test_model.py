@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexchange import model
-from dexchange.gf import FieldSpec, FMatrix, rank
+from dexchange.gf import MAX_MODULUS, FieldSpec, FMatrix, rank
 from dexchange.model import (
+    FILE_BYTES_PER_ENTRY,
     MAX_TABLE_USERS,
     MAX_USERS,
     CutSetOracle,
@@ -21,6 +22,7 @@ from dexchange.model import (
     generate_instance,
     in_cut_set_region,
     instance_from_packet_sets,
+    json_text,
     load_instance,
     members,
     preset_instance,
@@ -646,3 +648,51 @@ def test_racing_first_readers_see_the_whole_table():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert results == [want] * len(threads)
+
+
+_ENTRIES = st.lists(st.integers(0, MAX_MODULUS), max_size=5)
+_INSTANCE_DOCS = st.fixed_dictionaries({
+    "q": st.integers(2, MAX_MODULUS),
+    "N": st.integers(1, 2048),
+    "users": st.lists(st.fixed_dictionaries({"rows": st.lists(_ENTRIES, max_size=4)}), max_size=4),
+})
+_SCHEDULE_DOCS = st.fixed_dictionaries({
+    "q": st.integers(2, MAX_MODULUS),
+    "N": st.integers(1, 2048),
+    "entries": st.lists(
+        st.fixed_dictionaries({
+            "round": st.integers(1, 1 << 22),
+            "user": st.integers(0, MAX_USERS - 1),
+            "b": _ENTRIES,
+            "u": _ENTRIES,
+        }),
+        max_size=4,
+    ),
+    "rng": st.none() | st.fixed_dictionaries({"seed": st.integers(0, 1 << 64), "stream": st.integers(0, 1 << 64)}),
+})
+
+
+@given(st.one_of(_INSTANCE_DOCS, _SCHEDULE_DOCS))
+@settings(max_examples=200, deadline=None)
+def test_json_text_is_json_dumps_with_indent_1(doc):
+    # Empty rows, users and entries, a null rng and entries up to
+    # MAX_MODULUS are all drawn.
+    assert json_text(doc) == json.dumps(doc, indent=1)
+
+
+def test_largest_instance_file_the_writer_makes_at_the_cap_loads(tmp_path, monkeypatch):
+    # The writer's most bytes per entry: MAX_USERS users of one-entry rows
+    # holding 7-digit entries, over the largest prime field allowed.
+    cap = 10 * MAX_USERS
+    monkeypatch.setattr(model, "MAX_DRAW_ENTRIES", cap)
+    q = 1048573  # the largest prime below MAX_MODULUS
+    doc = {"q": q, "N": 1, "users": [{"rows": [[q - 1]] * 10} for _ in range(MAX_USERS)]}
+    path = tmp_path / "inst.json"
+    save_instance(ProblemInstance.from_json_dict(doc), path)
+    size, ceiling = path.stat().st_size, FILE_BYTES_PER_ENTRY * cap + 1024
+    assert FILE_BYTES_PER_ENTRY * cap < size <= ceiling
+    assert load_instance(path).to_json_dict() == doc
+    with open(path, "a", encoding="utf-8") as f:  # still the same JSON document
+        f.write(" " * (ceiling + 1 - size))
+    with pytest.raises(InstanceError, match=f"file of {ceiling + 1} bytes exceeds the ceiling of {ceiling} bytes"):
+        load_instance(path)

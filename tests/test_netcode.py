@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dexchange.gf import FieldSpec, SingularSystem
-from dexchange.model import CutSetOracle, generate_instance, preset_instance
+from dexchange import netcode
+from dexchange.gf import FieldSpec, FMatrix, SingularSystem, rank
+from dexchange.model import CutSetOracle, generate_instance, preset_instance, save_instance
 from dexchange.netcode import (
     ConstructionFailed,
+    DecodeReport,
     ExchangeState,
     InfeasibleRates,
     NotDecodable,
@@ -464,3 +466,119 @@ def test_seeded_draws_are_pinned():
                     records.append(["construction-failed", exc.attempts])
     blob = json.dumps(records, sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest()[:16] == "d2af59a3281ec609"
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 257]),
+    kind=st.sampled_from(["raw", "coded"]),
+    m=st.integers(2, 6),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 1 << 16),
+    data=st.data(),
+)
+def test_exchange_state_ranks_match_stacked_ranks(q, kind, m, n, seed, data):
+    # After every broadcast, each user's rank is the rank of its rows
+    # stacked with every broadcast so far, computed from scratch.  Zero and
+    # repeated coefficient rows add nothing, and the sender gains nothing.
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=seed)
+    beta = data.draw(st.integers(0, 8))
+    state = ExchangeState(inst, beta)
+    for _ in range(beta):
+        user = data.draw(st.integers(0, m - 1))
+        rows = inst.observations[user].rows
+        earlier = [e.coeffs for e in state.entries if e.user == user]
+        coeffs = data.draw(st.one_of(
+            st.just((0,) * rows),
+            st.lists(st.integers(0, q - 1), min_size=rows, max_size=rows),
+            *([st.sampled_from(earlier)] if earlier else []),
+        ))
+        state.step(user, coeffs)
+        heard = np.array([e.combo for e in state.entries], dtype=np.int64)
+        expected = [rank(FMatrix(inst.field, np.concatenate([obs.array, heard]))) for obs in inst.observations]
+        assert state._ranks.tolist() == expected
+        assert state.report().per_user == tuple(r == n for r in expected)
+
+
+def test_exchange_state_never_writes_the_cached_checks():
+    inst = generate_instance("coded", 4, 8, FieldSpec(17), seed=0)
+    checks, owner = inst.span_checks
+    assert not checks.flags.writeable and not owner.flags.writeable
+    # User i owns N - rank_i rows, each orthogonal to its observations.
+    for i, obs in enumerate(inst.observations):
+        mine = checks[owner == i]
+        assert len(mine) == 8 - rank(obs)
+        assert not (obs.array @ mine.T % 17).any()
+    kept = checks.copy(), owner.copy()
+    oracle = CutSetOracle(inst)
+    beta = min_cost(oracle, FairCost()).beta
+    for seed in range(4):
+        randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed))
+    assert inst.span_checks[0] is checks and inst.span_checks[1] is owner
+    assert np.array_equal(checks, kept[0]) and np.array_equal(owner, kept[1])
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 257]),
+    kind=st.sampled_from(["raw", "coded"]),
+    m=st.integers(1, 5),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 1 << 16),
+    data=st.data(),
+)
+def test_verify_decodable_matches_stacked_rank_definition(q, kind, m, n, seed, data):
+    # User i decodes exactly when rank([A_i; B]) == N, B the schedule rows.
+    # Rows are drawn directly, so over GF(2) many schedules are rank deficient.
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=seed)
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=n + 1))
+    entries = tuple(ScheduleEntry(k, 0, (), tuple(row)) for k, row in enumerate(rows, 1))
+    b = np.array(rows, dtype=np.int64).reshape(-1, n)
+    expected = tuple(
+        rank(FMatrix(inst.field, np.concatenate([obs.array, b]))) == n for obs in inst.observations
+    )
+    assert verify_decodable(inst, TransmissionSchedule(q, n, entries)) == DecodeReport(expected, all(expected))
+
+
+def test_verify_decodable_on_a_rank_deficient_gf2_schedule():
+    # Over GF(2) the last broadcast is the sum of the first two, so the four
+    # rows have rank 3.  Users 1 and 2 each miss two packets and decode;
+    # user 0 (packets 0 and 1) misses four and learns only packets 3, 5 and
+    # the sum of packets 2 and 4.
+    inst = preset_instance("example1", q=2)
+    rows = ((1, 0, 0, 1, 0, 0), (0, 0, 1, 0, 1, 0), (0, 1, 0, 0, 0, 1), (1, 0, 1, 1, 1, 0))
+    schedule = TransmissionSchedule(2, 6, tuple(ScheduleEntry(k, 1, (), r) for k, r in enumerate(rows, 1)))
+    report = verify_decodable(inst, schedule)
+    assert report == DecodeReport((False, True, True), False)
+
+
+def test_schedule_loader_refuses_broadcasts_over_the_entry_cap(demo, monkeypatch):
+    doc = construct_code(demo, (1, 1, 3), RngSpec(4)).to_json_dict()  # 5 broadcasts of 6 packets
+    monkeypatch.setattr(netcode, "MAX_DRAW_ENTRIES", 30)
+    assert TransmissionSchedule.from_json_dict(doc).counts(3) == (1, 1, 3)
+    monkeypatch.setattr(netcode, "MAX_DRAW_ENTRIES", 29)
+    with pytest.raises(ValueError, match="5 broadcasts of 6 packets exceed the cap of 29 matrix entries"):
+        TransmissionSchedule.from_json_dict(doc)
+
+
+def test_saved_file_bytes_are_pinned(tmp_path):
+    # One hash over the exact bytes save_instance and save_schedule write
+    # for seeded instances, drawn and constructed schedules, and an empty
+    # schedule with no rng: any change to the file format moves it.
+    digest = hashlib.sha256()
+    path = tmp_path / "doc.json"
+    for kind, q, seed in (("raw", 2, 0), ("coded", 17, 1), ("coded", 65537, 2)):
+        inst = generate_instance(kind, 4, 8, FieldSpec(q), seed=seed)
+        oracle = CutSetOracle(inst)
+        best = min_cost(oracle, FairCost())
+        _, drawn, _ = randomized_alloc(oracle, best.beta + 2, FairCost(), rng=RngSpec(seed, 5))
+        coded = construct_code(inst, best.allocation.rates, RngSpec(seed))
+        for save, obj in (
+            (save_instance, inst),
+            (save_schedule, drawn),
+            (save_schedule, coded),
+            (save_schedule, TransmissionSchedule(q, 8, ())),
+        ):
+            save(obj, path)
+            digest.update(path.read_bytes())
+    assert digest.hexdigest()[:16] == "12b44d7322bdc06b"
