@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 import time
+from itertools import chain
 
 import numpy as np
 
@@ -22,22 +22,23 @@ from .gf import FieldSpec
 from .model import (
     MAX_TABLE_USERS,
     CutSetOracle,
-    InstanceError,
     PRESETS,
     ProblemInstance,
     TableTooLarge,
     generate_instance,
+    json_ints,
     json_text,
     load_instance,
     preset_instance,
+    read_json,
     save_instance,
+    write_json,
 )
 from .netcode import (
     ConstructionFailed,
     InfeasibleRates,
     NotDecodable,
     RngSpec,
-    TransmissionSchedule,
     construct_code,
     decode,
     load_schedule,
@@ -93,8 +94,7 @@ def _emit(command: str, payload: dict, human: str, t0: float, *, digest=None, se
     if seed is not None:
         report["seed"] = seed
     report["elapsed_s"] = round(time.perf_counter() - t0, 6)
-    json.dump(report, sys.stdout, indent=1, default=str)
-    sys.stdout.write("\n")
+    sys.stdout.write(json_text(report) + "\n")
     print(human, file=sys.stderr)
 
 
@@ -123,30 +123,35 @@ def _write(save, obj, path) -> None:
         raise SystemExit(f"cannot write output: {exc}")
 
 
-def _load(path: str) -> ProblemInstance:
+def _read(what: str, load, *args):
+    """``load(*args)``; a file it cannot read or refuses exits 1 with ``bad {what}: ...``."""
     try:
-        return load_instance(path)
-    except OSError as exc:
-        raise SystemExit(f"cannot read instance: {exc}")
-    except InstanceError as exc:
-        raise SystemExit(f"bad instance file: {exc}")
+        return load(*args)
+    except (OSError, ValueError, OverflowError) as exc:
+        raise SystemExit(f"bad {what}: {exc}")
 
 
-def _read_json(path: str, what: str):
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise SystemExit(f"bad {what} file: {exc}")
+def _table_cost(path: str, m: int, n_packets: int) -> TableCost:
+    derivs = read_json(path)
+    if not (
+        isinstance(derivs, list)
+        and len(derivs) == m
+        and all(isinstance(d, list) and d for d in derivs)
+        and not set(map(type, chain.from_iterable(derivs))) - {int, float}
+    ):
+        raise ValueError(f"a list of {m} non-empty lists of numbers required")
+    cost = TableCost(derivs)
+    # Costs only grow with the rates, so this total bounds every cost reported.
+    if not math.isfinite(sum(cost.value(i, n_packets) for i in range(m))):
+        raise ValueError(f"the cost of {n_packets} symbols from every user is not finite")
+    return cost
 
 
-def _load_schedule(path: str, inst: ProblemInstance) -> TransmissionSchedule:
-    try:
-        schedule = load_schedule(path)
-        schedule.validate_against(inst)
-    except (OSError, ValueError, RecursionError) as exc:
-        raise SystemExit(f"bad schedule: {exc}")
-    return schedule
+def _truth(path: str, inst: ProblemInstance) -> np.ndarray:
+    truth = read_json(path)
+    if not isinstance(truth, list) or len(truth) != inst.n_packets:
+        raise ValueError(f"truth must list {inst.n_packets} packets")
+    return json_ints(truth, inst.field.p, "packets")
 
 
 def _cost_from_args(args, m: int, n_packets: int):
@@ -163,23 +168,7 @@ def _cost_from_args(args, m: int, n_packets: int):
         return FairCost()
     if args.table is None:
         raise SystemExit("--cost table requires --table FILE")
-    derivs = _read_json(args.table, "table")
-    # type() rather than isinstance: JSON booleans are ints to Python.
-    if not (
-        isinstance(derivs, list)
-        and len(derivs) == m
-        and all(isinstance(d, list) and d and all(type(v) in (int, float) for v in d) for d in derivs)
-    ):
-        raise SystemExit(f"bad table file: a list of {m} non-empty lists of numbers required")
-    try:
-        cost = TableCost(derivs)
-        # Costs only grow with the rates, so this total bounds every cost reported.
-        finite = math.isfinite(sum(cost.value(i, n_packets) for i in range(m)))
-    except (ValueError, OverflowError) as exc:
-        raise SystemExit(f"bad table file: {exc}")
-    if not finite:
-        raise SystemExit(f"bad table file: the cost of {n_packets} symbols from every user is not finite")
-    return cost
+    return _read("table file", _table_cost, args.table, m, n_packets)
 
 
 def cmd_gen(args) -> int:
@@ -210,7 +199,7 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
-    inst = _load(args.instance)
+    inst = _read("instance file", load_instance, args.instance)
     oracle = CutSetOracle(inst)
     cost = _cost_from_args(args, inst.m, inst.n_packets)
     try:
@@ -292,7 +281,7 @@ def _solve_randomized(oracle, cost, caps, args):
 
 def cmd_code(args) -> int:
     t0 = time.perf_counter()
-    inst = _load(args.instance)
+    inst = _read("instance file", load_instance, args.instance)
     if len(args.rates) != inst.m:
         raise SystemExit(f"--rates must list {inst.m} values")
     if min(args.rates) < 0:
@@ -334,8 +323,9 @@ def cmd_code(args) -> int:
 
 def cmd_verify(args) -> int:
     t0 = time.perf_counter()
-    inst = _load(args.instance)
-    schedule = _load_schedule(args.schedule, inst)
+    inst = _read("instance file", load_instance, args.instance)
+    schedule = _read("schedule", load_schedule, args.schedule)
+    _read("schedule", schedule.validate_against, inst)
     report = verify_decodable(inst, schedule)
     payload = {
         "per_user": list(report.per_user),
@@ -348,18 +338,13 @@ def cmd_verify(args) -> int:
 
 def cmd_decode(args) -> int:
     t0 = time.perf_counter()
-    inst = _load(args.instance)
+    inst = _read("instance file", load_instance, args.instance)
     if not 0 <= args.user < inst.m:
         raise SystemExit(f"--user must lie in [0, {inst.m})")
-    schedule = _load_schedule(args.schedule, inst)
+    schedule = _read("schedule", load_schedule, args.schedule)
+    _read("schedule", schedule.validate_against, inst)
     if args.truth:
-        truth = _read_json(args.truth, "truth")
-        if not isinstance(truth, list) or len(truth) != inst.n_packets:
-            raise SystemExit(f"truth must list {inst.n_packets} packets")
-        # type() rather than isinstance: JSON booleans are ints to Python.
-        if any(type(v) is not int or not 0 <= v < inst.field.p for v in truth):
-            raise SystemExit(f"bad truth file: packets must be integers in [0, {inst.field.p})")
-        w = np.asarray(truth, dtype=np.int64)
+        w = _read("truth file", _truth, args.truth, inst)
     else:
         # Demo mode: decode a seeded synthetic file and report the round trip.
         w = np.asarray(
@@ -382,11 +367,6 @@ def cmd_decode(args) -> int:
     human = f"user {args.user} decoded; match={match}"
     _emit("decode", payload, human, t0, digest=inst.digest(), seed=args.seed)
     return EXIT_OK if match else EXIT_DECODE
-
-
-def _save_failures(failures, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(failures, f, indent=1, default=str)
 
 
 def cmd_validate(args) -> int:
@@ -422,7 +402,7 @@ def cmd_validate(args) -> int:
     human = f"{len(results) - len(failures)}/{len(results)} checks passed"
     _emit("validate", payload, human, t0, seed=args.seed)
     if failures:
-        _write(_save_failures, payload["failures"], args.artifact)
+        _write(write_json, payload["failures"], args.artifact)
         print(f"counterexamples written to {args.artifact}", file=sys.stderr)
         return EXIT_PROPERTY
     return EXIT_OK
@@ -457,7 +437,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--table", help="JSON file of per-user increment tables")
     s.add_argument("--beta", type=int, help="fixed total budget (default: optimize)")
     s.add_argument("--caps", type=_parse_ints, help="per-user transmission caps")
-    s.add_argument("--backend", choices=("sfm", "randomized"), default="sfm")
+    s.add_argument(
+        "--backend", choices=("sfm", "randomized"), default="sfm", help="sfm is the exact rank-table solver"
+    )
     s.add_argument("--seed", type=_at_least(0), default=0)
     s.add_argument("--max-retries", type=int, default=8, help="randomized attempts per budget")
     s.add_argument("--schedule-out", help="write the randomized schedule here")

@@ -11,16 +11,22 @@ capped at MAX_USERS users; the deterministic algorithms read all 2^m joint
 ranks, so the rank table is capped at MAX_TABLE_USERS users.  This module
 holds only what the solvers read; the brute-force partition bound that
 certifies them is in :mod:`dexchange.validate`.
+
+It is also the document boundary: :func:`read_json` reads every JSON file
+under one byte ceiling, :func:`json_int` and :func:`json_ints` check its
+integers, and every document written is :func:`json_text`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -40,8 +46,8 @@ MAX_DRAW_ENTRIES = 1 << 22
 #: Bytes per matrix entry of the largest instance file :func:`json_text`
 #: writes at MAX_DRAW_ENTRIES: one-entry rows of 7-digit entries (MAX_MODULUS
 #: - 1 has 7), each ``[\n     1048575\n    ]`` plus the ``,\n    `` before the
-#: next.  Instance and schedule files over this many bytes per allowed entry,
-#: plus 1 KiB, are refused before they are parsed.
+#: next.  :func:`read_json` refuses files over this many bytes per allowed
+#: entry, plus 1 KiB, before they are parsed.
 FILE_BYTES_PER_ENTRY = 26
 
 #: Packet subsets for the bundled three-user, six-packet demo instance.
@@ -124,8 +130,11 @@ class ProblemInstance:
         return checks, owner
 
     def sum_rate_floor(self) -> int:
-        """:func:`singleton_floor` from m eliminations and no rank table."""
-        return singleton_floor(self.n_packets, [rank(obs) for obs in self.observations])
+        """:func:`singleton_floor` from :attr:`span_checks` and no rank table:
+        user i's rank is N minus its check rows."""
+        _, owner = self.span_checks
+        ranks = self.n_packets - np.bincount(owner, minlength=self.m)
+        return singleton_floor(self.n_packets, ranks.tolist())
 
     @property
     def full_mask(self) -> int:
@@ -151,27 +160,22 @@ class ProblemInstance:
         if not isinstance(data, dict):
             raise InstanceError("instance document must be a JSON object")
         try:
-            q = data["q"]
-            n = data["N"]
-            users = data["users"]
-        except (KeyError, TypeError) as exc:
+            q, n, users = data["q"], data["N"], data["users"]
+        except KeyError as exc:
             raise InstanceError(f"instance document is missing key {exc}") from None
-        # type() rather than isinstance: JSON booleans are ints to Python.
-        if type(q) is not int or q < 2:
-            raise InstanceError("q must be an integer >= 2")
+        q = json_int(q, "q", 2, InstanceError)
         try:
             field = FieldSpec(q)
         except ValueError as exc:
             raise InstanceError(str(exc)) from None
-        if type(n) is not int or n < 1:
-            raise InstanceError("N must be a positive integer")
+        n = json_int(n, "N", 1, InstanceError)
         if not isinstance(users, list) or not users:
             raise InstanceError("users must be a non-empty list")
         mats = []
         total = 0
         for i, entry in enumerate(users):
             rows = entry.get("rows") if isinstance(entry, dict) else None
-            if rows is None or not isinstance(rows, list):
+            if not isinstance(rows, list):
                 raise InstanceError(f"user {i}: expected an object with a 'rows' list")
             total += len(rows)
             if total * n > MAX_DRAW_ENTRIES:
@@ -179,15 +183,7 @@ class ProblemInstance:
                     f"{total * n} matrix entries ({total} rows of {n} packets in users 0 to {i}) "
                     f"exceed the cap of {MAX_DRAW_ENTRIES}"
                 )
-            for row in rows:
-                if not isinstance(row, list) or len(row) != n:
-                    raise InstanceError(f"user {i}: rows must all have length {n}")
-                for v in row:
-                    if type(v) is not int or not 0 <= v < q:
-                        raise InstanceError(
-                            f"user {i}: entry {v!r} is outside the field range [0, {q})"
-                        )
-            mats.append(FMatrix(field, rows, cols=n))
+            mats.append(FMatrix(field, json_ints(rows, q, f"user {i}: entries", n, InstanceError), cols=n))
         return cls(field, n, tuple(mats))
 
     def digest(self) -> str:
@@ -197,9 +193,9 @@ class ProblemInstance:
 
 
 def json_text(doc, pad: str = "\n") -> str:
-    """``json.dumps(doc, indent=1)`` for dicts with str keys, lists, tuples,
-    ints, strs and None, built by joins: a list of ints is one join, where the
-    indenting encoder makes a call and a write per token."""
+    """``json.dumps(doc, indent=1, default=str)`` for dicts with str keys,
+    built by joins: a list of ints is one join, where the indenting encoder
+    makes a call and a write per token."""
     inner = pad + " "
     if isinstance(doc, dict):
         items = (encode_basestring_ascii(k) + ": " + json_text(v, inner) for k, v in doc.items())
@@ -207,34 +203,64 @@ def json_text(doc, pad: str = "\n") -> str:
         ints = all(type(v) is int for v in doc)
         items = map(int.__repr__, doc) if ints else (json_text(v, inner) for v in doc)
     else:
-        return json.dumps(doc)
+        return json.dumps(doc, default=str)
     body = ("," + inner).join(items)
     brackets = "{}" if isinstance(doc, dict) else "[]"
     return brackets[0] + inner + body + pad + brackets[1] if body else brackets
 
 
-def refuse_oversize(f, error=ValueError) -> None:
-    """Raise ``error`` when the open file ``f`` holds more than
-    FILE_BYTES_PER_ENTRY bytes per entry of MAX_DRAW_ENTRIES, plus 1 KiB."""
-    size = os.fstat(f.fileno()).st_size
-    ceiling = FILE_BYTES_PER_ENTRY * MAX_DRAW_ENTRIES + 1024
-    if size > ceiling:
-        raise error(f"file of {size} bytes exceeds the ceiling of {ceiling} bytes")
+def write_json(doc, path) -> None:
+    """Write :func:`json_text` of ``doc`` and a newline to ``path``."""
+    with open(path, "w", encoding="utf-8") as f:
+        f.write(json_text(doc) + "\n")
+
+
+def read_json(path, error=ValueError):
+    """The JSON document in the file at ``path``; ``error`` for a file over
+    the byte ceiling (checked before it is read), not UTF-8 JSON or too deep."""
+    with open(path, "r", encoding="utf-8") as f:
+        size = os.fstat(f.fileno()).st_size
+        ceiling = FILE_BYTES_PER_ENTRY * MAX_DRAW_ENTRIES + 1024
+        if size > ceiling:
+            raise error(f"file of {size} bytes exceeds the ceiling of {ceiling} bytes")
+        try:
+            return json.load(f)
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
+            raise error(f"not a JSON document: {exc}") from None
+
+
+def json_int(v, what: str, low: int | None = None, error=ValueError) -> int:
+    """``v`` if its type is exactly int (JSON booleans are ints to Python) and
+    it is at least ``low`` where given, else ``error``."""
+    if type(v) is not int or (low is not None and v < low):
+        raise error(f"{what} must be an integer{'' if low is None else f' >= {low}'}, not {v!r}")
+    return v
+
+
+def json_ints(doc, high: int, what: str, width: int | None = None, error=ValueError) -> np.ndarray:
+    """``doc``, a JSON list of integers in [0, high), or with ``width`` a list
+    of rows of ``width`` of them, as an int64 array.  :func:`json_int`'s rule,
+    for all values in one pass; the first bad one is looked up only on failure."""
+    if type(doc) is not list:
+        raise error(f"{what} must be a JSON list")
+    if width is not None and (set(map(type, doc)) - {list} or set(map(len, doc)) - {width}):
+        raise error(f"{what} must form rows of length {width}")
+    if not set(map(type, doc if width is None else chain.from_iterable(doc))) - {int}:
+        with contextlib.suppress(OverflowError):  # an int beyond int64 is beyond every field
+            a = np.array(doc, dtype=np.int64)
+            if not a.size or (a.min() >= 0 and a.max() < high):
+                return a
+    flat = doc if width is None else chain.from_iterable(doc)
+    bad = next(v for v in flat if type(v) is not int or not 0 <= v < high)
+    raise error(f"{what} must be integers in [0, {high}) (the field range), not {bad!r}")
 
 
 def load_instance(path) -> ProblemInstance:
-    with open(path, "r", encoding="utf-8") as f:
-        refuse_oversize(f, InstanceError)
-        try:
-            data = json.load(f)
-        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or too deep
-            raise InstanceError(f"not a JSON document: {exc}") from None
-    return ProblemInstance.from_json_dict(data)
+    return ProblemInstance.from_json_dict(read_json(path, InstanceError))
 
 
 def save_instance(instance: ProblemInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json_text(instance.to_json_dict()) + "\n")
+    write_json(instance.to_json_dict(), path)
 
 
 def instance_from_packet_sets(field: FieldSpec, n_packets: int, packet_sets) -> ProblemInstance:

@@ -11,8 +11,8 @@ field larger than the user count a draw succeeds with probability at least
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -23,8 +23,10 @@ from .model import (
     CutSetOracle,
     ProblemInstance,
     in_cut_set_region,
-    json_text,
-    refuse_oversize,
+    json_int,
+    json_ints,
+    read_json,
+    write_json,
 )
 from .ratealloc import Allocation, _check_caps, allocate_rounds
 
@@ -43,14 +45,6 @@ class ConstructionFailed(RuntimeError):
 
 class NotDecodable(ValueError):
     """The user's observations plus received rows do not span the file."""
-
-
-def _json_int(v, what: str, low: int | None = None, high: int | None = None) -> int:
-    """``v`` if it is a JSON integer, not a bool, in [low, high) where given."""
-    if type(v) is not int or (low is not None and v < low) or (high is not None and v >= high):
-        span = "" if low is None else f" in [{low}, {'inf' if high is None else high})"
-        raise ValueError(f"{what} {v!r} is not an integer{span}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -116,59 +110,56 @@ class TransmissionSchedule:
                 raise ValueError(f"round {e.round}: stored row does not match its coefficients")
 
     def to_json_dict(self) -> dict:
-        doc = {
+        return {
             "q": self.q,
             "N": self.n_packets,
             "entries": [
                 {"round": e.round, "user": e.user, "b": list(e.coeffs), "u": list(e.combo)}
                 for e in self.entries
             ],
+            "rng": None if self.rng is None else {"seed": self.rng.seed, "stream": self.rng.stream},
         }
-        doc["rng"] = (
-            {"seed": self.rng.seed, "stream": self.rng.stream} if self.rng is not None else None
-        )
-        return doc
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "TransmissionSchedule":
         try:
-            q = _json_int(data["q"], "q")
-            n = _json_int(data["N"], "N")
-            if type(data["entries"]) is not list:
+            q = json_int(data["q"], "q")
+            n = json_int(data["N"], "N")
+            docs = data["entries"]
+            if type(docs) is not list:
                 raise TypeError("entries must be a list")
-            if len(data["entries"]) * n > MAX_DRAW_ENTRIES:
+            if len(docs) * n > MAX_DRAW_ENTRIES:
                 raise ValueError(
-                    f"{len(data['entries'])} broadcasts of {n} packets exceed the cap of "
+                    f"{len(docs)} broadcasts of {n} packets exceed the cap of "
                     f"{MAX_DRAW_ENTRIES} matrix entries"
                 )
+            for key in ("b", "u"):
+                json_ints(list(chain.from_iterable(e[key] for e in docs)), q, f"{key} entries")
             entries = tuple(
                 ScheduleEntry(
-                    round=_json_int(e["round"], f"entry {k}: rounds must run 1, 2, ...; round"),
-                    user=_json_int(e["user"], f"round {k}: sender"),
-                    coeffs=tuple(_json_int(v, f"round {k}: coefficient", 0, q) for v in e["b"]),
-                    combo=tuple(_json_int(v, f"round {k}: row entry", 0, q) for v in e["u"]),
+                    round=json_int(e["round"], f"entry {k}: rounds must run 1, 2, ...; round"),
+                    user=json_int(e["user"], f"round {k}: sender"),
+                    coeffs=tuple(e["b"]),
+                    combo=tuple(e["u"]),
                 )
-                for k, e in enumerate(data["entries"], 1)
+                for k, e in enumerate(docs, 1)
             )
             rng = data.get("rng")
             spec = None
             if rng is not None:
-                seed = _json_int(rng["seed"], "rng seed", 0)
-                spec = RngSpec(seed, _json_int(rng.get("stream", 0), "rng stream", 0))
+                seed = json_int(rng["seed"], "rng seed", 0)
+                spec = RngSpec(seed, json_int(rng.get("stream", 0), "rng stream", 0))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"schedule document is malformed: {exc!r}") from None
         return cls(q, n, entries, spec)
 
 
 def load_schedule(path) -> TransmissionSchedule:
-    with open(path, "r", encoding="utf-8") as f:
-        refuse_oversize(f)
-        return TransmissionSchedule.from_json_dict(json.load(f))
+    return TransmissionSchedule.from_json_dict(read_json(path))
 
 
 def save_schedule(schedule: TransmissionSchedule, path) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json_text(schedule.to_json_dict()) + "\n")
+    write_json(schedule.to_json_dict(), path)
 
 
 @dataclass(frozen=True)

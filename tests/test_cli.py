@@ -9,6 +9,7 @@ from dexchange.model import (
     MAX_TABLE_USERS,
     CutSetOracle,
     instance_from_packet_sets,
+    json_text,
     load_instance,
     save_instance,
 )
@@ -567,6 +568,29 @@ def test_exit_code_contract(instance_file, tmp_path, capsys, monkeypatch, argv, 
         assert (report is None) == ("--out" in argv)
 
 
+_CONTRACT = next(mark for mark in test_exit_code_contract.pytestmark if mark.name == "parametrize")
+
+
+@pytest.mark.parametrize(*_CONTRACT.args, **_CONTRACT.kwargs)
+def test_every_report_is_json_dumps_with_indent_1(instance_file, tmp_path, capsys, monkeypatch, argv, expected):
+    # Each report of the exit-code contract's runs, set-up runs included, is
+    # written byte for byte as the indenting encoder with a str fallback
+    # would write it.
+    import dexchange.cli as cli
+
+    written = []
+
+    def recording(doc):
+        written.append((doc, json_text(doc)))
+        return written[-1][1]
+
+    monkeypatch.setattr(cli, "json_text", recording)
+    test_exit_code_contract(instance_file, tmp_path, capsys, monkeypatch, argv, expected)
+    assert any("command" in doc for doc, _ in written)
+    for doc, text in written:
+        assert text == json.dumps(doc, indent=1, default=str)
+
+
 @pytest.mark.parametrize("cap, expected", [(59, 1), (60, 0)])
 def test_solve_refuses_instance_files_over_the_entry_cap(instance_file, capsys, monkeypatch, cap, expected):
     # The demo instance holds 10 rows of 6 packets: 60 matrix entries.
@@ -597,25 +621,49 @@ OVER_CEILING = "exceeds the ceiling of 2584 bytes"
             ["verify", "{instance}", "{sched_over_cap}"], 1, "exceed the cap of 4194304 matrix entries",
             id="verify-over-entry-cap-1",
         ),
+        pytest.param(
+            ["solve", "{instance}", "--cost", "table", "--table", "{table_at_ceiling}"], 0, None,
+            id="table-at-ceiling-0",
+        ),
+        pytest.param(
+            ["solve", "{instance}", "--cost", "table", "--table", "{table_over_ceiling}"], 1,
+            f"bad table file: file of 2585 bytes {OVER_CEILING}", id="table-over-ceiling-1",
+        ),
+        pytest.param(
+            ["decode", "{instance}", "{sched}", "--user", "0", "--truth", "{truth_at_ceiling}"], 0, None,
+            id="truth-at-ceiling-0",
+        ),
+        pytest.param(
+            ["decode", "{instance}", "{sched}", "--user", "0", "--truth", "{truth_over_ceiling}"], 1,
+            f"bad truth file: file of 2585 bytes {OVER_CEILING}", id="truth-over-ceiling-1",
+        ),
     ],
 )
 def test_file_boundary_exit_codes(instance_file, tmp_path, capsys, monkeypatch, argv, expected, message):
     # With the entry cap at the demo's 60 the file ceiling is 26 * 60 + 1024
     # = 2,584 bytes.  Files padded with spaces are still valid JSON, so only
     # their size refuses them.  The schedule over 10^7 packets is refused by
-    # the real cap before any of its entries is read.
+    # the real cap before any of its entries is read.  Cost tables and truth
+    # files are held to the same ceiling.
     import dexchange.model as model
 
     monkeypatch.setattr(model, "MAX_DRAW_ENTRIES", 60)
-    sched = tmp_path / "sched.json"
+    sched, table, truth = tmp_path / "sched.json", tmp_path / "table.json", tmp_path / "truth.json"
     assert run(capsys, "code", instance_file, "--rates", "1,1,3", "--out", str(sched))[0] == 0
-    paths = {"instance": instance_file, "sched_over_cap": str(tmp_path / "wide.json")}
+    table.write_text("[[1], [1], [1]]")
+    truth.write_text("[1, 2, 3, 4, 5, 6]")
+    paths = {"instance": instance_file, "sched": str(sched), "sched_over_cap": str(tmp_path / "wide.json")}
     for name, source, size in (
         ("at_ceiling", instance_file, 2584),
         ("over_ceiling", instance_file, 2585),
         ("sched_over_ceiling", sched, 2585),
+        ("table_at_ceiling", table, 2584),
+        ("table_over_ceiling", table, 2585),
+        ("truth_at_ceiling", truth, 2584),
+        ("truth_over_ceiling", truth, 2585),
     ):
-        text = open(source, encoding="utf-8").read()
+        with open(source, encoding="utf-8") as f:
+            text = f.read()
         paths[name] = str(tmp_path / f"{name}.json")
         with open(paths[name], "w", encoding="utf-8") as f:
             f.write(text + " " * (size - len(text)))

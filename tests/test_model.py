@@ -307,6 +307,24 @@ def test_sum_rate_floor_bounds_min_sum_rate(kind, m, n, q, seed):
         assert floor == 0
 
 
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 6),
+    st.integers(1, 8),
+    st.sampled_from((2, 3, 5, 257)),
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_sum_rate_floor_reads_each_users_rank_off_its_checks(kind, m, n, q, seed):
+    # One elimination per user, shared with the exchange state, gives the
+    # floor that m rank calls gave, as a plain int.
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=seed)
+    floor = inst.sum_rate_floor()
+    assert type(floor) is int
+    assert floor == model.singleton_floor(n, [rank(obs) for obs in inst.observations])
+    assert "span_checks" in vars(inst)
+
+
 def test_generate_infeasible_coverage():
     with pytest.raises(InfeasibleInstance):
         generate_instance("raw", 2, 4, FieldSpec(257), coverage=(1, 1))

@@ -443,6 +443,16 @@ def test_schedule_loader_rejects_malformed_documents(doc):
         TransmissionSchedule.from_json_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "blob", [b"not json", b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000], ids=["not-json", "not-utf8", "too-deep"]
+)
+def test_schedule_file_that_is_not_json_is_refused(tmp_path, blob):
+    path = tmp_path / "sched.json"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError, match="not a JSON document"):
+        load_schedule(path)
+
+
 def test_seeded_draws_are_pinned():
     # One hash over randomized_alloc's rates, schedule and decode flags and
     # construct_code's schedule or failure, for q in {2, 3, 17, 257}, raw and
