@@ -43,7 +43,6 @@ from .netcode import (
 from .ratealloc import (
     Allocation,
     FairCost,
-    GroundSet,
     Infeasible,
     LinearCost,
     MinCostResult,
@@ -51,7 +50,6 @@ from .ratealloc import (
     convex_alloc,
     eval_h,
     min_cost,
-    min_pinned,
     min_sum_rate,
     modified_edmonds,
     subgradient_minimizer,

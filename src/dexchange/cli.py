@@ -148,7 +148,7 @@ def _table_cost(path: str, m: int, n_packets: int) -> TableCost:
 
 
 def _truth(path: str, inst: ProblemInstance) -> np.ndarray:
-    truth = read_json(path)
+    truth = read_json(path, entries=inst.n_packets)
     if not isinstance(truth, list) or len(truth) != inst.n_packets:
         raise ValueError(f"truth must list {inst.n_packets} packets")
     return json_ints(truth, inst.field.p, "packets")
@@ -200,7 +200,6 @@ def cmd_gen(args) -> int:
 def cmd_solve(args) -> int:
     t0 = time.perf_counter()
     inst = _read("instance file", load_instance, args.instance)
-    oracle = CutSetOracle(inst)
     cost = _cost_from_args(args, inst.m, inst.n_packets)
     try:
         caps = _check_caps(args.caps, inst.m)
@@ -215,12 +214,12 @@ def cmd_solve(args) -> int:
         raise SystemExit("--max-retries must be at least 1")
     try:
         if args.backend == "randomized":
-            value, alloc, extra = _solve_randomized(oracle, cost, caps, args)
+            value, alloc, extra = _solve_randomized(inst, cost, caps, args)
         elif args.beta is not None:
-            value, alloc = eval_h(oracle, args.beta, cost, caps)
+            value, alloc = eval_h(CutSetOracle(inst), args.beta, cost, caps)
             extra = {}
         else:
-            got = min_cost(oracle, cost, caps)
+            got = min_cost(CutSetOracle(inst), cost, caps)
             value, alloc, extra = got.value, got.allocation, {"min_sum_rate": got.min_sum_rate}
     except Infeasible as exc:
         payload = {
@@ -241,7 +240,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _solve_randomized(oracle, cost, caps, args):
+def _solve_randomized(inst, cost, caps, args):
     """Randomized run at --beta, or a budget search over randomized runs.
 
     Returns ``(value, allocation, extra)`` as the exact paths do.  A
@@ -252,13 +251,12 @@ def _solve_randomized(oracle, cost, caps, args):
     draws from its own stream, so --beta B reproduces the schedule the
     search found at B.
     """
-    inst = oracle.instance
 
     def solve(beta):
         for attempt in range(args.max_retries):
             rng = RngSpec(args.seed, _stream(beta, attempt))
             try:
-                alloc, schedule, report = randomized_alloc(oracle, beta, cost, caps, rng)
+                alloc, schedule, report = randomized_alloc(inst, beta, cost, caps, rng)
             except Infeasible:
                 continue
             if report.all_ok:

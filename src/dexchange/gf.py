@@ -33,7 +33,12 @@ class ShapeError(ValueError):
 
 
 class SingularSystem(ValueError):
-    """Linear system does not have a unique solution."""
+    """Linear system does not have a unique solution.  ``rank`` is the rank of
+    the coefficient matrix (None only while pickle rebuilds the exception)."""
+
+    def __init__(self, message, *, rank=None):
+        super().__init__(message)
+        self.rank = rank
 
 
 def is_prime(n: int) -> bool:
@@ -118,22 +123,6 @@ class FMatrix:
             raise ShapeError(f"coefficient vector of length {self.rows} required")
         return (c @ self._a) % self.field.p
 
-    @classmethod
-    def zeros(cls, field: FieldSpec, rows: int, cols: int) -> "FMatrix":
-        return cls(field, np.zeros((rows, cols), dtype=np.int64))
-
-    @classmethod
-    def vstack(cls, field: FieldSpec, mats, cols: int | None = None) -> "FMatrix":
-        arrays = [m.array for m in mats]
-        if not arrays:
-            if cols is None:
-                raise ShapeError("cols required to stack an empty list of matrices")
-            return cls.zeros(field, 0, cols)
-        widths = {a.shape[1] for a in arrays}
-        if len(widths) != 1:
-            raise ShapeError(f"cannot stack matrices of widths {sorted(widths)}")
-        return cls(field, np.concatenate(arrays, axis=0))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, FMatrix):
             return NotImplemented
@@ -180,8 +169,8 @@ def solve_full_rank(m: FMatrix, rhs) -> np.ndarray:
     """Solve ``M @ w = rhs`` for a matrix of full column rank.
 
     The system may be overdetermined; extra rows must be consistent.  Raises
-    SingularSystem when the rank is deficient or the right-hand side is
-    inconsistent, ShapeError on dimension mismatch.
+    SingularSystem, carrying the matrix rank, when the rank is deficient or
+    the right-hand side is inconsistent, ShapeError on dimension mismatch.
     """
     b = np.asarray(rhs, dtype=np.int64)
     if b.shape != (m.rows,):
@@ -189,10 +178,11 @@ def solve_full_rank(m: FMatrix, rhs) -> np.ndarray:
     aug = np.concatenate([m.array, b.reshape(-1, 1)], axis=1)
     basis = RowBasis(m.field, m.cols + 1, aug)
     pivots = basis._pivots[: basis.rank]
-    if m.cols in pivots:  # a pivot in the rhs column
-        raise SingularSystem("inconsistent right-hand side")
-    if basis.rank < m.cols:
-        raise SingularSystem(f"matrix rank {basis.rank} is below column count {m.cols}")
+    found = basis.rank - (m.cols in pivots)  # a pivot in the rhs column is not M's
+    if found < basis.rank:
+        raise SingularSystem("inconsistent right-hand side", rank=found)
+    if found < m.cols:
+        raise SingularSystem(f"matrix rank {found} is below column count {m.cols}", rank=found)
     w = np.zeros(m.cols, dtype=np.int64)
     w[pivots] = basis._rows[: basis.rank, -1]
     return w

@@ -13,8 +13,9 @@ holds only what the solvers read; the brute-force partition bound that
 certifies them is in :mod:`dexchange.validate`.
 
 It is also the document boundary: :func:`read_json` reads every JSON file
-under one byte ceiling, :func:`json_int` and :func:`json_ints` check its
-integers, and every document written is :func:`json_text`.
+under a byte ceiling set by the entries it may hold, :func:`json_int` and
+:func:`json_ints` check its integers, and every document written is
+:func:`json_text`.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ MAX_DRAW_ENTRIES = 1 << 22
 #: writes at MAX_DRAW_ENTRIES: one-entry rows of 7-digit entries (MAX_MODULUS
 #: - 1 has 7), each ``[\n     1048575\n    ]`` plus the ``,\n    `` before the
 #: next.  :func:`read_json` refuses files over this many bytes per allowed
-#: entry, plus 1 KiB, before they are parsed.
+#: entry, plus 1 KiB, before they are parsed; a truth file allows N entries.
 FILE_BYTES_PER_ENTRY = 26
 
 #: Packet subsets for the bundled three-user, six-packet demo instance.
@@ -103,9 +104,9 @@ class ProblemInstance:
                     f"user {i}: matrix has {obs.cols} columns, expected {self.n_packets}"
                 )
         # The rank is at most the row count: too few rows fail before any elimination.
-        rows = sum(obs.rows for obs in self.observations)
-        enough = rows >= self.n_packets
-        r = rank(FMatrix.vstack(self.field, self.observations, cols=self.n_packets)) if enough else rows
+        stacked = np.concatenate([obs.array for obs in self.observations])
+        enough = len(stacked) >= self.n_packets
+        r = rank(FMatrix(self.field, stacked)) if enough else len(stacked)
         if r < self.n_packets:
             shown = r if enough else f"at most {r}"
             raise InstanceError(
@@ -215,12 +216,13 @@ def write_json(doc, path) -> None:
         f.write(json_text(doc) + "\n")
 
 
-def read_json(path, error=ValueError):
+def read_json(path, error=ValueError, entries=None):
     """The JSON document in the file at ``path``; ``error`` for a file over
-    the byte ceiling (checked before it is read), not UTF-8 JSON or too deep."""
+    the byte ceiling for ``entries`` values, MAX_DRAW_ENTRIES by default
+    (checked before it is read), not UTF-8 JSON or too deep."""
     with open(path, "r", encoding="utf-8") as f:
         size = os.fstat(f.fileno()).st_size
-        ceiling = FILE_BYTES_PER_ENTRY * MAX_DRAW_ENTRIES + 1024
+        ceiling = FILE_BYTES_PER_ENTRY * (MAX_DRAW_ENTRIES if entries is None else entries) + 1024
         if size > ceiling:
             raise error(f"file of {size} bytes exceeds the ceiling of {ceiling} bytes")
         try:

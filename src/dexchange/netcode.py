@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .gf import FMatrix, RowBasis, SingularSystem, rank, solve_full_rank
+from .gf import FMatrix, RowBasis, SingularSystem, solve_full_rank
 from .model import (
     MAX_DRAW_ENTRIES,
     MAX_TABLE_USERS,
@@ -165,7 +165,10 @@ def save_schedule(schedule: TransmissionSchedule, path) -> None:
 @dataclass(frozen=True)
 class DecodeReport:
     per_user: tuple[bool, ...]
-    all_ok: bool
+
+    @property
+    def all_ok(self) -> bool:
+        return all(self.per_user)
 
 
 class ExchangeState:
@@ -230,12 +233,11 @@ class ExchangeState:
 
     def report(self) -> DecodeReport:
         """Decodability so far: a user decodes once its span is the packet space."""
-        flags = tuple(r == self.instance.n_packets for r in self._ranks.tolist())
-        return DecodeReport(flags, all(flags))
+        return DecodeReport(tuple(r == self.instance.n_packets for r in self._ranks.tolist()))
 
 
 def randomized_alloc(
-    oracle: CutSetOracle, beta, cost, caps=None, rng: RngSpec = RngSpec(0)
+    instance: ProblemInstance, beta, cost, caps=None, rng: RngSpec = RngSpec(0)
 ) -> tuple[Allocation, TransmissionSchedule, DecodeReport]:
     """Allocate ``beta`` units with random transmissions generated as it goes.
 
@@ -244,18 +246,17 @@ def randomized_alloc(
     a fresh uniform combination of its rows.  The report says which users
     decode the drawn schedule, read off the ranks the run keeps; a
     completed run fails to decode with probability at most
-    ``1 - (1 - m/q)^beta``.
+    ``1 - (1 - m/q)^beta``.  No rank table is read.
     """
-    inst = oracle.instance
-    caps = _check_caps(caps, inst.m)
+    caps = _check_caps(caps, instance.m)
     gen = rng.generator()
-    state = ExchangeState(inst, beta)
+    state = ExchangeState(instance, beta)
 
     def broadcast(user):
-        state.step(user, gen.integers(0, inst.field.p, size=inst.observations[user].rows))
+        state.step(user, gen.integers(0, instance.field.p, size=instance.observations[user].rows))
 
-    alloc = allocate_rounds(inst.m, beta, cost, lambda rates: state.transmit_set(), caps, broadcast)
-    schedule = TransmissionSchedule(inst.field.p, inst.n_packets, tuple(state.entries), rng)
+    alloc = allocate_rounds(instance.m, beta, cost, lambda rates: state.transmit_set(), caps, broadcast)
+    schedule = TransmissionSchedule(instance.field.p, instance.n_packets, tuple(state.entries), rng)
     return alloc, schedule, state.report()
 
 
@@ -277,7 +278,7 @@ def verify_decodable(instance: ProblemInstance, schedule: TransmissionSchedule) 
         basis = shared.copy()
         basis.extend(obs.array)
         flags.append(basis.rank == n)
-    return DecodeReport(tuple(flags), all(flags))
+    return DecodeReport(tuple(flags))
 
 
 def construct_code(
@@ -340,7 +341,8 @@ def decode(
 
     ``observed`` are the user's own observation values, ``received`` the
     broadcast values in schedule order.  Raises :class:`NotDecodable` when
-    the stacked system is rank deficient for this user.
+    the stacked system is rank deficient for this user, read off the one
+    elimination that solves it.
     """
     obs = instance.observations[user]
     observed = np.asarray(observed, dtype=np.int64)
@@ -349,12 +351,11 @@ def decode(
         raise ValueError(f"user {user} holds {obs.rows} values, got shape {observed.shape}")
     if received.shape != (len(schedule.entries),):
         raise ValueError(f"expected {len(schedule.entries)} received values")
-    combos = FMatrix(instance.field, schedule.combo_rows(), cols=instance.n_packets)
-    stacked = FMatrix.vstack(instance.field, [obs, combos], cols=instance.n_packets)
+    stacked = FMatrix(instance.field, np.concatenate([obs.array, schedule.combo_rows()]))
     rhs = np.concatenate([observed, received]) % instance.field.p
     try:
         return solve_full_rank(stacked, rhs)
-    except SingularSystem:
-        if rank(stacked) < instance.n_packets:
+    except SingularSystem as exc:
+        if exc.rank < instance.n_packets:
             raise NotDecodable(f"user {user} cannot reconstruct the file from this schedule") from None
         raise

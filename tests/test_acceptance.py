@@ -102,7 +102,7 @@ def test_criterion_1_reference_replay():
         for attempt in (
             lambda: modified_edmonds(oracle, 4, (1, 1, 1)),
             lambda: convex_alloc(oracle, 4, FairCost()),
-            lambda: randomized_alloc(oracle, 4, FairCost(), rng=RngSpec(0)),
+            lambda: randomized_alloc(inst, 4, FairCost(), rng=RngSpec(0)),
         ):
             with pytest.raises(Infeasible):
                 attempt()

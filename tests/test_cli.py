@@ -359,8 +359,23 @@ def test_solve_randomized_fixed_budget_reproduces_search_schedule(
     assert fixed.read_text() == searched.read_text()
     # The recorded stream alone regenerates the schedule.
     schedule = load_schedule(searched)
-    oracle = CutSetOracle(load_instance(small_field_file))
-    assert randomized_alloc(oracle, beta, FairCost(), rng=schedule.rng)[1] == schedule
+    inst = load_instance(small_field_file)
+    assert randomized_alloc(inst, beta, FairCost(), rng=schedule.rng)[1] == schedule
+
+
+def test_solve_randomized_builds_no_cut_set_oracle(instance_file, capsys, monkeypatch):
+    import dexchange.cli as cli
+
+    argv = ["solve", instance_file, "--cost", "fair", "--backend", "randomized"]
+    code, want, _ = run(capsys, *argv)
+    assert code == 0
+
+    def refuse(inst):
+        raise AssertionError("the randomized backend reads no rank table")
+
+    monkeypatch.setattr(cli, "CutSetOracle", refuse)
+    code, got, _ = run(capsys, *argv)
+    assert code == 0 and got["payload"] == want["payload"]
 
 
 def test_solve_randomized_search_ignores_unused_retries(small_field_file, tmp_path, capsys):
@@ -605,6 +620,8 @@ def test_solve_refuses_instance_files_over_the_entry_cap(instance_file, capsys, 
 
 
 OVER_CEILING = "exceeds the ceiling of 2584 bytes"
+#: A truth file holds the N = 6 packets: 26 * 6 + 1024 bytes.
+OVER_TRUTH_CEILING = "exceeds the ceiling of 1180 bytes"
 
 
 @pytest.mark.parametrize(
@@ -634,8 +651,12 @@ OVER_CEILING = "exceeds the ceiling of 2584 bytes"
             id="truth-at-ceiling-0",
         ),
         pytest.param(
+            ["decode", "{instance}", "{sched}", "--user", "0", "--truth", "{truth_one_over}"], 1,
+            f"bad truth file: file of 1181 bytes {OVER_TRUTH_CEILING}", id="truth-one-over-ceiling-1",
+        ),
+        pytest.param(
             ["decode", "{instance}", "{sched}", "--user", "0", "--truth", "{truth_over_ceiling}"], 1,
-            f"bad truth file: file of 2585 bytes {OVER_CEILING}", id="truth-over-ceiling-1",
+            f"bad truth file: file of 2585 bytes {OVER_TRUTH_CEILING}", id="truth-over-ceiling-1",
         ),
     ],
 )
@@ -643,8 +664,8 @@ def test_file_boundary_exit_codes(instance_file, tmp_path, capsys, monkeypatch, 
     # With the entry cap at the demo's 60 the file ceiling is 26 * 60 + 1024
     # = 2,584 bytes.  Files padded with spaces are still valid JSON, so only
     # their size refuses them.  The schedule over 10^7 packets is refused by
-    # the real cap before any of its entries is read.  Cost tables and truth
-    # files are held to the same ceiling.
+    # the real cap before any of its entries is read.  Cost tables are held
+    # to the same ceiling, truth files to 26 N + 1024 = 1,180 bytes.
     import dexchange.model as model
 
     monkeypatch.setattr(model, "MAX_DRAW_ENTRIES", 60)
@@ -659,7 +680,8 @@ def test_file_boundary_exit_codes(instance_file, tmp_path, capsys, monkeypatch, 
         ("sched_over_ceiling", sched, 2585),
         ("table_at_ceiling", table, 2584),
         ("table_over_ceiling", table, 2585),
-        ("truth_at_ceiling", truth, 2584),
+        ("truth_at_ceiling", truth, 1180),
+        ("truth_one_over", truth, 1181),
         ("truth_over_ceiling", truth, 2585),
     ):
         with open(source, encoding="utf-8") as f:
@@ -937,7 +959,7 @@ def test_randomized_search_skips_budgets_below_the_floor(tmp_path, capsys, monke
     drawn = []
     draw = cli.randomized_alloc
     monkeypatch.setattr(
-        cli, "randomized_alloc", lambda oracle, beta, *a: drawn.append(beta) or draw(oracle, beta, *a)
+        cli, "randomized_alloc", lambda inst, beta, *a: drawn.append(beta) or draw(inst, beta, *a)
     )
     real_floor = ProblemInstance.sum_rate_floor
     path, sched = tmp_path / "inst.json", tmp_path / "sched.json"

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,7 +48,7 @@ def test_matrix_validation():
 def test_empty_matrix_rank_is_zero():
     f = FieldSpec(5)
     assert rank(FMatrix(f, [], cols=4)) == 0
-    assert rank(FMatrix.zeros(f, 2, 4)) == 0
+    assert rank(FMatrix(f, np.zeros((2, 4), dtype=np.int64))) == 0
 
 
 def test_identity_full_rank():
@@ -74,6 +76,11 @@ def test_solve_singular_raises():
     f = FieldSpec(3)
     with pytest.raises(SingularSystem):
         solve_full_rank(FMatrix(f, [[1, 1], [2, 2]]), [0, 1])
+
+
+def test_singular_system_keeps_its_rank_through_pickle():
+    exc = pickle.loads(pickle.dumps(SingularSystem("inconsistent right-hand side", rank=2)))
+    assert str(exc) == "inconsistent right-hand side" and exc.rank == 2
 
 
 def test_solve_shape_mismatch():
@@ -208,10 +215,11 @@ class _ReferenceBasis:
 
 def _reference_solve(a, b, p):
     red, pivots = _reference_row_reduce(np.concatenate([a, (b % p).reshape(-1, 1)], axis=1), p)
+    found = sum(c < a.shape[1] for c in pivots)  # the pivots left of the rhs column
     if a.shape[1] in pivots:
-        raise SingularSystem("inconsistent right-hand side")
-    if len(pivots) < a.shape[1]:
-        raise SingularSystem(f"matrix rank {len(pivots)} is below column count {a.shape[1]}")
+        raise SingularSystem("inconsistent right-hand side", rank=found)
+    if found < a.shape[1]:
+        raise SingularSystem(f"matrix rank {found} is below column count {a.shape[1]}", rank=found)
     w = np.zeros(a.shape[1], dtype=np.int64)
     w[pivots] = red[:, -1]
     return w
@@ -261,6 +269,7 @@ def test_row_basis_matches_the_batched_reference(system, split):
         with pytest.raises(SingularSystem) as got:
             solve_full_rank(m, b)
         assert str(got.value) == str(exc)
+        assert got.value.rank == exc.rank == rank(m)
     else:
         assert np.array_equal(solve_full_rank(m, b), expected)
 

@@ -223,8 +223,8 @@ def test_generate_raw_matches_reference_layout():
 
 def test_generate_coded_reaches_full_rank():
     inst = generate_instance("coded", 2, 3, FieldSpec(257), coverage=(2, 2), seed=11)
-    stacked = FMatrix.vstack(inst.field, inst.observations, cols=3)
-    assert rank(stacked) == 3
+    stacked = np.concatenate([obs.array for obs in inst.observations])
+    assert rank(FMatrix(inst.field, stacked)) == 3
 
 
 def test_generate_is_deterministic():
@@ -382,11 +382,13 @@ def test_oracle_is_shareable_across_threads(demo):
 
 
 def _stacked_ranks(inst):
-    """rank(vstack(A_i for i in S)) for every subset S, from scratch."""
+    """rank of the stacked A_i, i in S, for every subset S, from scratch."""
     out = []
     for s in range(1 << inst.m):
-        mats = [inst.observations[i] for i in members(s)]
-        out.append(rank(FMatrix.vstack(inst.field, mats, cols=inst.n_packets)))
+        # The empty subset stacks no rows, so start from a (0, N) array.
+        rows = [np.zeros((0, inst.n_packets), dtype=np.int64)]
+        rows += [inst.observations[i].array for i in members(s)]
+        out.append(rank(FMatrix(inst.field, np.concatenate(rows))))
     return out
 
 

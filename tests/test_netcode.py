@@ -84,8 +84,7 @@ def test_reference_trace_decodes_synthetic_file(demo19):
 
 
 def test_randomized_alloc_reference_budget(demo):
-    oracle = CutSetOracle(demo)
-    alloc, schedule, _ = randomized_alloc(oracle, 5, FairCost(), rng=RngSpec(0))
+    alloc, schedule, _ = randomized_alloc(demo, 5, FairCost(), rng=RngSpec(0))
     assert alloc.rates == (1, 2, 2)
     assert schedule.counts(3) == (1, 2, 2)
     assert alloc.tsets[0] == (0, 1, 2)
@@ -93,31 +92,27 @@ def test_randomized_alloc_reference_budget(demo):
 
 
 def test_randomized_alloc_infeasible_budget_stops_early(demo):
-    oracle = CutSetOracle(demo)
     with pytest.raises(Infeasible) as err:
-        randomized_alloc(oracle, 4, FairCost(), rng=RngSpec(0))
+        randomized_alloc(demo, 4, FairCost(), rng=RngSpec(0))
     assert err.value.rounds_completed < 4
 
 
 def test_randomized_alloc_single_user_zero_budget():
     inst = generate_instance("coded", 1, 2, FieldSpec(257), coverage=(2,), seed=0)
-    oracle = CutSetOracle(inst)
-    alloc, schedule, _ = randomized_alloc(oracle, 0, FairCost(), rng=RngSpec(0))
+    alloc, schedule, _ = randomized_alloc(inst, 0, FairCost(), rng=RngSpec(0))
     assert alloc.rates == (0,)
     assert schedule.entries == ()
     assert verify_decodable(inst, schedule).all_ok
 
 
 def test_randomized_alloc_respects_caps(demo):
-    oracle = CutSetOracle(demo)
-    alloc, _, _ = randomized_alloc(oracle, 5, LinearCost((1, 3, 2)), caps=(2, 2, 2), rng=RngSpec(1))
+    alloc, _, _ = randomized_alloc(demo, 5, LinearCost((1, 3, 2)), caps=(2, 2, 2), rng=RngSpec(1))
     assert alloc.rates == (1, 2, 2)
 
 
 def test_randomized_alloc_is_deterministic(demo):
-    oracle = CutSetOracle(demo)
-    a1, s1, _ = randomized_alloc(oracle, 5, FairCost(), rng=RngSpec(3, 1))
-    a2, s2, _ = randomized_alloc(oracle, 5, FairCost(), rng=RngSpec(3, 1))
+    a1, s1, _ = randomized_alloc(demo, 5, FairCost(), rng=RngSpec(3, 1))
+    a2, s2, _ = randomized_alloc(demo, 5, FairCost(), rng=RngSpec(3, 1))
     assert a1 == a2 and s1.entries == s2.entries
 
 
@@ -128,11 +123,10 @@ def test_randomized_alloc_report_matches_verify_decodable(q):
     outcomes = set()
     for inst_seed in range(4):
         inst = generate_instance("coded", 4, 5, FieldSpec(q), seed=inst_seed)
-        oracle = CutSetOracle(inst)
-        beta = min_sum_rate(oracle)
+        beta = min_sum_rate(CutSetOracle(inst))
         for seed in range(8):
             try:
-                _, schedule, report = randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed))
+                _, schedule, report = randomized_alloc(inst, beta, FairCost(), rng=RngSpec(seed))
             except Infeasible:
                 continue
             assert report == verify_decodable(inst, schedule)
@@ -146,7 +140,7 @@ def _check_rank_vs_polyhedral(inst, beta, seed, require_equality):
     # in general position and the two sets coincide round for round.
     oracle = CutSetOracle(inst)
     try:
-        alloc, schedule, _ = randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed))
+        alloc, schedule, _ = randomized_alloc(inst, beta, FairCost(), rng=RngSpec(seed))
     except Infeasible:
         return
     grounds = [GroundSet(inst.full_mask & ~(1 << i), i) for i in range(inst.m)]
@@ -326,6 +320,62 @@ def test_decode_full_rank_user_needs_no_schedule():
     assert list(got) == list(w)
 
 
+@pytest.mark.parametrize("case", ["rank-deficient", "inconsistent", "both"])
+def test_decode_answers_from_one_elimination(demo, monkeypatch, case):
+    # decode solves the stacked system and reads from that same elimination
+    # whether a failure means the user cannot decode.
+    from dexchange import gf
+
+    if case == "inconsistent":  # user 0 holds all 3 packets
+        inst = generate_instance("coded", 1, 3, FieldSpec(257), coverage=(3,), seed=2)
+        expected = SingularSystem
+    else:  # user 0 holds 2 of the 6 packets and hears one of its own rows
+        inst, expected = demo, NotDecodable
+    w = np.arange(inst.n_packets)
+    own = inst.observations[0].array[0].tolist()
+    schedule = TransmissionSchedule(257, inst.n_packets, (ScheduleEntry(1, 0, (), tuple(own)),))
+    received = (transmit_values(schedule, w) + (case != "rank-deficient")) % 257
+    built = []
+    init = gf.RowBasis.__init__
+    monkeypatch.setattr(gf.RowBasis, "__init__", lambda self, *a: built.append(a) or init(self, *a))
+    with pytest.raises(expected):
+        decode(inst, 0, schedule, inst.observe(0, w), received)
+    assert len(built) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    q=st.sampled_from([2, 3, 257]),
+    kind=st.sampled_from(["raw", "coded"]),
+    m=st.integers(1, 4),
+    n=st.integers(1, 6),
+    seed=st.integers(0, 1 << 16),
+    data=st.data(),
+)
+def test_decode_refuses_exactly_the_users_verify_decodable_refuses(q, kind, m, n, seed, data):
+    # Received values are sometimes off, so a full-rank stack may be
+    # inconsistent (SingularSystem) and a deficient one both at once.
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=seed)
+    user = data.draw(st.integers(0, m - 1))
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=n + 1))
+    entries = tuple(ScheduleEntry(k, 0, (), tuple(r)) for k, r in enumerate(rows, 1))
+    schedule = TransmissionSchedule(q, n, entries)
+    w = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)), dtype=np.int64)
+    offsets = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
+    received = (transmit_values(schedule, w) + np.array(offsets, dtype=np.int64)) % q
+    decodable = verify_decodable(inst, schedule).per_user[user]
+    try:
+        got = decode(inst, user, schedule, inst.observe(user, w), received)
+    except NotDecodable:
+        assert not decodable
+    except SingularSystem:
+        assert decodable and any(offsets)
+    else:
+        assert decodable
+        if not any(offsets):
+            assert np.array_equal(got, w)
+
+
 def test_schedule_json_round_trip(tmp_path, demo):
     schedule = construct_code(demo, (1, 1, 3), RngSpec(4, 2))
     path = tmp_path / "sched.json"
@@ -465,7 +515,7 @@ def test_seeded_draws_are_pinned():
                 oracle = CutSetOracle(inst)
                 best = min_cost(oracle, FairCost())
                 try:
-                    alloc, schedule, report = randomized_alloc(oracle, best.beta, FairCost(), rng=RngSpec(seed))
+                    alloc, schedule, report = randomized_alloc(inst, best.beta, FairCost(), rng=RngSpec(seed))
                     records.append([alloc.rates, schedule.to_json_dict(), report.per_user, report.all_ok])
                 except Infeasible as exc:
                     records.append(["infeasible", exc.achieved_sum])
@@ -520,10 +570,9 @@ def test_exchange_state_never_writes_the_cached_checks():
         assert len(mine) == 8 - rank(obs)
         assert not (obs.array @ mine.T % 17).any()
     kept = checks.copy(), owner.copy()
-    oracle = CutSetOracle(inst)
-    beta = min_cost(oracle, FairCost()).beta
+    beta = min_cost(CutSetOracle(inst), FairCost()).beta
     for seed in range(4):
-        randomized_alloc(oracle, beta, FairCost(), rng=RngSpec(seed))
+        randomized_alloc(inst, beta, FairCost(), rng=RngSpec(seed))
     assert inst.span_checks[0] is checks and inst.span_checks[1] is owner
     assert np.array_equal(checks, kept[0]) and np.array_equal(owner, kept[1])
 
@@ -547,7 +596,7 @@ def test_verify_decodable_matches_stacked_rank_definition(q, kind, m, n, seed, d
     expected = tuple(
         rank(FMatrix(inst.field, np.concatenate([obs.array, b]))) == n for obs in inst.observations
     )
-    assert verify_decodable(inst, TransmissionSchedule(q, n, entries)) == DecodeReport(expected, all(expected))
+    assert verify_decodable(inst, TransmissionSchedule(q, n, entries)) == DecodeReport(expected)
 
 
 def test_verify_decodable_on_a_rank_deficient_gf2_schedule():
@@ -559,7 +608,7 @@ def test_verify_decodable_on_a_rank_deficient_gf2_schedule():
     rows = ((1, 0, 0, 1, 0, 0), (0, 0, 1, 0, 1, 0), (0, 1, 0, 0, 0, 1), (1, 0, 1, 1, 1, 0))
     schedule = TransmissionSchedule(2, 6, tuple(ScheduleEntry(k, 1, (), r) for k, r in enumerate(rows, 1)))
     report = verify_decodable(inst, schedule)
-    assert report == DecodeReport((False, True, True), False)
+    assert report == DecodeReport((False, True, True))
 
 
 def test_schedule_loader_refuses_broadcasts_over_the_entry_cap(demo, monkeypatch):
@@ -581,7 +630,7 @@ def test_saved_file_bytes_are_pinned(tmp_path):
         inst = generate_instance(kind, 4, 8, FieldSpec(q), seed=seed)
         oracle = CutSetOracle(inst)
         best = min_cost(oracle, FairCost())
-        _, drawn, _ = randomized_alloc(oracle, best.beta + 2, FairCost(), rng=RngSpec(seed, 5))
+        _, drawn, _ = randomized_alloc(inst, best.beta + 2, FairCost(), rng=RngSpec(seed, 5))
         coded = construct_code(inst, best.allocation.rates, RngSpec(seed))
         for save, obj in (
             (save_instance, inst),

@@ -40,15 +40,17 @@ def test_package_modules_import_no_unused_names(path):
 
 #: What ``import dexchange`` offers besides its submodules: the solve path
 #: and its types.  The brute-force oracles are reached through
-#: ``dexchange.validate``, the dual engine through ``subgradient_minimizer()``.
+#: ``dexchange.validate``, the dual engine through ``subgradient_minimizer()``,
+#: the exact coordinate step (``min_pinned``, ``GroundSet``) through
+#: ``dexchange.ratealloc``.
 PUBLIC_NAMES = {
     "Allocation", "ConstructionFailed", "CutSetOracle", "DecodeReport", "ExchangeState",
-    "FMatrix", "FairCost", "FieldSpec", "GroundSet", "Infeasible", "InfeasibleInstance",
+    "FMatrix", "FairCost", "FieldSpec", "Infeasible", "InfeasibleInstance",
     "InfeasibleRates", "InstanceError", "LinearCost", "MinCostResult", "NotDecodable",
     "ProblemInstance", "RngSpec", "RowBasis", "ScheduleEntry", "ShapeError", "SingularSystem",
     "TableCost", "TableTooLarge", "TransmissionSchedule", "construct_code", "convex_alloc",
     "decode", "eval_h", "generate_instance", "in_cut_set_region", "instance_from_packet_sets",
-    "load_instance", "load_schedule", "min_cost", "min_pinned", "min_sum_rate",
+    "load_instance", "load_schedule", "min_cost", "min_sum_rate",
     "modified_edmonds", "preset_instance", "randomized_alloc", "rank", "save_instance",
     "save_schedule", "solve_full_rank", "subgradient_minimizer", "transmit_values",
     "verify_decodable",
