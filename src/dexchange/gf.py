@@ -11,7 +11,11 @@ parity checks, which :meth:`RowBasis.checks` reads off that form.  Matrices
 are immutable after construction and all operations are pure, so they can be
 shared freely across threads.  The coded rank table instead eliminates a
 whole batch of matrices at once with the fraction-free
-``_eliminate_leading``, on unsigned entries.
+``_eliminate_leading``, on unsigned entries.  It reduces mod p by floor
+division, which numpy runs on a whole unsigned array with one precomputed
+multiply-and-shift, where its unsigned ``fmod`` divides element by element
+(over ten times slower); ``(t // p) * p <= t``, so the reduction never
+leaves the dtype the batch already fits.
 """
 
 from __future__ import annotations
@@ -142,9 +146,12 @@ def _eliminate_leading(x: np.ndarray, rows: int, p: int) -> tuple[np.ndarray, np
     reduced to zero in every pivot column, hence zero when in their span.
     Fraction-free: rows are scaled by the pivot instead of dividing by it,
     so no inverse is needed.  Each step adds (p - x_col) * row, which is
-    -x_col * row mod p, so an unsigned ``x`` holds sums in [0, (p-1)(2p-1)]
-    and ``np.fmod`` gives the canonical remainder; ``x`` may be uint32 when
-    (p - 1)(2p - 1) < 2^32, and its dtype is kept throughout.
+    -x_col * row mod p, so an unsigned ``x`` holds sums in [0, (p-1)(2p-1)];
+    ``x`` may be uint32 when (p - 1)(2p - 1) < 2^32, and its dtype is kept
+    throughout.  The canonical remainder is ``t - (t // p) * p``, equal to
+    ``np.fmod(t, p)`` on unsigned ints but divided by a scalar in bulk,
+    where fmod divides element by element; ``(t // p) * p <= t``, so neither
+    step can overflow.
     """
     gained = np.zeros(x.shape[0], dtype=np.int64)
     batch = np.arange(x.shape[0])
@@ -156,7 +163,10 @@ def _eliminate_leading(x: np.ndarray, rows: int, p: int) -> tuple[np.ndarray, np
         piv[piv == 0] = 1  # a zero row leaves the rest as they are
         t = x * piv[:, None, None]
         t += (p - x[batch, :, col])[:, :, None] * row[:, None, :]
-        x = np.fmod(t, p, out=t)
+        q = t // p
+        q *= p
+        t -= q
+        x = t
     return gained, x
 
 

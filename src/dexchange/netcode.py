@@ -36,9 +36,10 @@ class InfeasibleRates(ValueError):
 
 
 class ConstructionFailed(RuntimeError):
-    """No decodable schedule found within the retry budget."""
+    """No decodable schedule found within the retry budget of ``attempts``
+    draws (None only while pickle rebuilds the exception)."""
 
-    def __init__(self, message, *, attempts):
+    def __init__(self, message, *, attempts=None):
         super().__init__(message)
         self.attempts = attempts
 

@@ -471,12 +471,20 @@ def convex_alloc(oracle, beta, cost, caps=None, minimizer=None) -> Allocation:
 
         return allocate_rounds(m, beta, cost, transmit, caps)
     g = beta - inst.n_packets + oracle.ranks  # f_beta - R at R = 0, kept across rounds
+    free = _unblocked(g, m)
 
     def step(user):
         # Bit ``user`` of a mask is the middle axis: [:, 1, :] is every mask holding it.
-        g.reshape(-1, 2, 1 << user)[:, 1, :] -= 1
+        # g only falls, so the blocked set only grows, and every set this step
+        # makes tight holds ``user``: the transmit set changes only when the
+        # slice just lowered reaches 0.
+        nonlocal free
+        held = g.reshape(-1, 2, 1 << user)[:, 1, :]
+        held -= 1
+        if held.min() <= 0:
+            free = _unblocked(g, m)
 
-    return allocate_rounds(m, beta, cost, lambda rates: _unblocked(g, m), caps, step)
+    return allocate_rounds(m, beta, cost, lambda rates: free, caps, step)
 
 
 def eval_h(oracle, beta, cost, caps=None, minimizer=None):

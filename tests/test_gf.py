@@ -1,3 +1,4 @@
+import itertools
 import pickle
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexchange.gf import (
+    MAX_MODULUS,
     FieldSpec,
     FMatrix,
     RowBasis,
@@ -274,18 +276,20 @@ def test_row_basis_matches_the_batched_reference(system, split):
         assert np.array_equal(solve_full_rank(m, b), expected)
 
 
-def test_eliminate_leading_worst_case_operands_fit_uint32():
-    # The largest prime with uint32 batches.  Pivot row [p-1, p-1] over the
-    # row [0, p-1] makes the sum before the reduction (p-1)^2 + p(p-1),
-    # which is the kernel's bound (p-1)(2p-1) < 2^32.
-    p = 46337
-    x = np.array([[[p - 1, p - 1], [0, p - 1]]])
-    narrow = _eliminate_leading(x.astype(np.uint32), 1, p)
-    wide = _eliminate_leading(x.astype(np.uint64), 1, p)
-    assert narrow[1].dtype == np.uint32
-    assert narrow[0].tolist() == wide[0].tolist() == [1]
-    assert narrow[1].tolist() == wide[1].tolist() == [[[0, 1]]]
-    assert ((0 <= narrow[1]) & (narrow[1] < p)).all()
+@pytest.mark.parametrize("p, dtype", [(46337, np.uint32), (1048573, np.uint64)])
+def test_eliminate_leading_worst_case_operands_fit_their_dtype(p, dtype):
+    # The largest prime whose batches run in uint32, and the largest prime the
+    # package admits, in uint64.  Pivot row [p-1, p-1] over the row [0, p-1]
+    # makes the sum before the reduction (p-1)^2 + p(p-1), which is the
+    # kernel's bound (p-1)(2p-1).
+    top = np.iinfo(dtype).max
+    nxt = next(n for n in itertools.count(p + 1) if is_prime(n))
+    assert (p - 1) * (2 * p - 1) <= top
+    assert nxt > MAX_MODULUS if dtype is np.uint64 else (nxt - 1) * (2 * nxt - 1) > top
+    gained, rest = _eliminate_leading(np.array([[[p - 1, p - 1], [0, p - 1]]], dtype=dtype), 1, p)
+    assert rest.dtype == dtype
+    assert gained.tolist() == [1]
+    assert rest.tolist() == [[[0, 1]]]
 
 
 def test_is_prime_small_values():

@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -276,6 +277,11 @@ def test_construct_code_tiny_field_can_exhaust_retries():
     with pytest.raises(ConstructionFailed) as err:
         construct_code(inst, (1, 1, 3), RngSpec(0), max_retries=1)
     assert err.value.attempts == 1
+
+
+def test_construction_failed_keeps_its_attempts_through_pickle():
+    exc = pickle.loads(pickle.dumps(ConstructionFailed("no decodable schedule", attempts=3)))
+    assert str(exc) == "no decodable schedule" and exc.attempts == 3
 
 
 def test_construct_code_is_deterministic(demo):

@@ -454,6 +454,42 @@ def test_incremental_convex_alloc_matches_per_round_transmit_set(kind, m, n, q, 
                 assert got == want
 
 
+def per_round_convex_alloc(oracle, beta, cost, caps=None):
+    """The convex rounds with the transmit set read off g afresh every round."""
+    inst = oracle.instance
+    g = beta - inst.n_packets + oracle.ranks
+
+    def step(user):
+        g.reshape(-1, 2, 1 << user)[:, 1, :] -= 1
+
+    return allocate_rounds(inst.m, beta, cost, lambda rates: _unblocked(g, inst.m), caps, step)
+
+
+@given(
+    st.sampled_from(("raw", "coded")),
+    st.integers(1, 7),
+    st.integers(1, 8),
+    st.sampled_from((2, 3, 5, 257)),
+    st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_kept_transmit_set_matches_the_per_round_one_pass_set(kind, m, n, q, data):
+    # convex_alloc reads the transmit set off g again only when a step makes
+    # a set tight; the reference reads it every round.  From the smallest
+    # budget the start check admits, both give the same rates and tsets, or
+    # stop in the same round.
+    inst = generate_instance(kind, m, n, FieldSpec(q), seed=data.draw(st.integers(0, 2**31 - 1)))
+    oracle = CutSetOracle(inst)
+    need = n - int(oracle.ranks[[1 << i for i in range(m)]].min())
+    random_caps = tuple(data.draw(st.lists(st.integers(0, n), min_size=m, max_size=m)))
+    cost = data.draw(st.sampled_from((FairCost(), TableCost([[1]] * (m - 1) + [[0]]))))
+    for caps in (None, random_caps):
+        for beta in range(need, n * m + 2):
+            got = _outcome(lambda: convex_alloc(oracle, beta, cost, caps))
+            want = _outcome(lambda: per_round_convex_alloc(oracle, beta, cost, caps))
+            assert got == want
+
+
 # ---------------------------------------------------------------------------
 # Budget search
 
