@@ -30,7 +30,6 @@ from .netcode import (
     InfeasibleRates,
     NotDecodable,
     RngSpec,
-    ScheduleEntry,
     TransmissionSchedule,
     construct_code,
     decode,

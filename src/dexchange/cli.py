@@ -314,7 +314,7 @@ def cmd_code(args) -> int:
         "rates": list(schedule.counts(inst.m)),
         "cut_set_checked": checked,
     }
-    human = f"wrote {args.out} ({len(schedule.entries)} transmissions)"
+    human = f"wrote {args.out} ({len(schedule.users)} transmissions)"
     _emit("code", payload, human, t0, digest=inst.digest(), seed=args.seed)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from itertools import chain
 
 import numpy as np
 
-from .gf import FMatrix, RowBasis, SingularSystem, solve_full_rank
+from .gf import FMatrix, RowBasis, ShapeError, SingularSystem, solve_full_rank
 from .model import (
     MAX_DRAW_ENTRIES,
     MAX_TABLE_USERS,
@@ -64,59 +64,67 @@ class RngSpec:
         return np.random.Generator(np.random.Philox(seq))
 
 
-@dataclass(frozen=True)
-class ScheduleEntry:
-    """One broadcast: round counter (1-based), sender, combining
-    coefficients over the sender's rows, and the resulting packet-space row."""
-
-    round: int
-    user: int
-    coeffs: tuple[int, ...]
-    combo: tuple[int, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransmissionSchedule:
+    """Broadcasts over GF(q) of an N-packet file, in round order: broadcast k
+    is sent by ``users[k]``, combines that sender's rows by ``coeffs[k]`` and
+    carries ``combos[k]``, one row of a read-only int64 array of shape
+    (broadcasts, N).  Schedules compare equal by value."""
+
     q: int
     n_packets: int
-    entries: tuple[ScheduleEntry, ...]
+    users: tuple[int, ...]
+    coeffs: tuple[np.ndarray, ...]
+    combos: np.ndarray
     rng: RngSpec | None = None
 
-    def counts(self, m: int) -> tuple[int, ...]:
-        """Per-user entry counts, i.e. the rate vector this schedule realizes."""
-        out = [0] * m
-        for e in self.entries:
-            out[e.user] += 1
-        return tuple(out)
+    def __post_init__(self):
+        combos = np.array(self.combos, dtype=np.int64).reshape(len(self.users), self.n_packets)
+        combos.setflags(write=False)
+        object.__setattr__(self, "combos", combos)
+        object.__setattr__(self, "coeffs", tuple(np.asarray(c, dtype=np.int64) for c in self.coeffs))
 
-    def combo_rows(self) -> np.ndarray:
-        """All packet-space rows as an array of shape (len(entries), N)."""
-        if not self.entries:
-            return np.zeros((0, self.n_packets), dtype=np.int64)
-        return np.array([e.combo for e in self.entries], dtype=np.int64)
+    def __eq__(self, other) -> bool:
+        return isinstance(other, TransmissionSchedule) and self.to_json_dict() == other.to_json_dict()
+
+    def counts(self, m: int) -> tuple[int, ...]:
+        """Per-user broadcast counts, i.e. the rate vector this schedule realizes."""
+        return tuple(np.bincount(self.users, minlength=m).tolist())
 
     def validate_against(self, instance: ProblemInstance) -> None:
-        """Check that rounds run 1, 2, ... in order, that every sender is a
-        user of ``instance``, and every stored row against its recomputation
-        from (coeffs, A_user)."""
+        """Check every sender against the users of ``instance`` and every
+        stored row against its recomputation from (coeffs, A_user), one
+        product per sender; the first faulty broadcast decides the error."""
         if instance.field.p != self.q or instance.n_packets != self.n_packets:
             raise ValueError("schedule and instance disagree on field or packet count")
-        for k, e in enumerate(self.entries, 1):
-            if e.round != k:
-                raise ValueError(f"entry {k} has round {e.round!r}; rounds must run 1, 2, ...")
-            if not 0 <= e.user < instance.m:
-                raise ValueError(f"round {k}: sender {e.user!r} is not among the {instance.m} users")
-            expected = instance.observations[e.user].combine_rows(e.coeffs)
-            if tuple(int(v) for v in expected) != e.combo:
-                raise ValueError(f"round {e.round}: stored row does not match its coefficients")
+        m, observations = instance.m, instance.observations
+        # Products cover the broadcasts before the first bad sender or coefficient count.
+        stop, fault = len(self.users), None
+        for k, (user, c) in enumerate(zip(self.users, self.coeffs)):
+            if not 0 <= user < m:
+                stop, fault = k, ValueError(f"round {k + 1}: sender {user!r} is not among the {m} users")
+                break
+            if c.size != observations[user].rows:
+                stop, fault = k, ShapeError(f"coefficient vector of length {observations[user].rows} required")
+                break
+        users = np.array(self.users[:stop], dtype=np.int64)
+        wrong = np.zeros(stop, dtype=bool)
+        for i, obs in enumerate(observations):
+            mine = np.flatnonzero(users == i)
+            block = np.array([self.coeffs[k] for k in mine], dtype=np.int64).reshape(mine.size, obs.rows)
+            wrong[mine] = (block @ obs.array % self.q != self.combos[mine]).any(axis=1)
+        if wrong.any():
+            raise ValueError(f"round {wrong.argmax() + 1}: stored row does not match its coefficients")
+        if fault is not None:
+            raise fault
 
     def to_json_dict(self) -> dict:
         return {
             "q": self.q,
             "N": self.n_packets,
             "entries": [
-                {"round": e.round, "user": e.user, "b": list(e.coeffs), "u": list(e.combo)}
-                for e in self.entries
+                {"round": k, "user": user, "b": c.tolist(), "u": row}
+                for k, (user, c, row) in enumerate(zip(self.users, self.coeffs, self.combos.tolist()), 1)
             ],
             "rng": None if self.rng is None else {"seed": self.rng.seed, "stream": self.rng.stream},
         }
@@ -124,8 +132,8 @@ class TransmissionSchedule:
     @classmethod
     def from_json_dict(cls, data: dict) -> "TransmissionSchedule":
         try:
-            q = json_int(data["q"], "q")
-            n = json_int(data["N"], "N")
+            q = json_int(data["q"], "q", 2)
+            n = json_int(data["N"], "N", 1)
             docs = data["entries"]
             if type(docs) is not list:
                 raise TypeError("entries must be a list")
@@ -134,17 +142,13 @@ class TransmissionSchedule:
                     f"{len(docs)} broadcasts of {n} packets exceed the cap of "
                     f"{MAX_DRAW_ENTRIES} matrix entries"
                 )
-            for key in ("b", "u"):
-                json_ints(list(chain.from_iterable(e[key] for e in docs)), q, f"{key} entries")
-            entries = tuple(
-                ScheduleEntry(
-                    round=json_int(e["round"], f"entry {k}: rounds must run 1, 2, ...; round"),
-                    user=json_int(e["user"], f"round {k}: sender"),
-                    coeffs=tuple(e["b"]),
-                    combo=tuple(e["u"]),
-                )
-                for k, e in enumerate(docs, 1)
-            )
+            b = json_ints(list(chain.from_iterable(e["b"] for e in docs)), q, "b entries")
+            combos = json_ints([e["u"] for e in docs], q, "u entries", n)
+            users = []
+            for k, e in enumerate(docs, 1):
+                if json_int(e["round"], f"entry {k}: rounds must run 1, 2, ...; round") != k:
+                    raise ValueError(f"entry {k} has round {e['round']!r}; rounds must run 1, 2, ...")
+                users.append(json_int(e["user"], f"round {k}: sender"))
             rng = data.get("rng")
             spec = None
             if rng is not None:
@@ -152,7 +156,9 @@ class TransmissionSchedule:
                 spec = RngSpec(seed, json_int(rng.get("stream", 0), "rng stream", 0))
         except (AttributeError, KeyError, TypeError) as exc:
             raise ValueError(f"schedule document is malformed: {exc!r}") from None
-        return cls(q, n, entries, spec)
+        # Split at every row's end; the piece after the last end is empty.
+        coeffs = np.split(b, np.cumsum([len(e["b"]) for e in docs]))[:-1]
+        return cls(q, n, tuple(users), tuple(coeffs), combos, spec)
 
 
 def load_schedule(path) -> TransmissionSchedule:
@@ -192,7 +198,7 @@ class ExchangeState:
         self.instance = instance
         self.beta = beta
         self.round = 1
-        self.entries: list[ScheduleEntry] = []
+        self.users, self.coeffs, self.combos = [], [], []
         self._checks, self._owner = instance.span_checks
         self._ranks = instance.n_packets - np.bincount(self._owner, minlength=instance.m)
 
@@ -200,17 +206,12 @@ class ExchangeState:
         threshold = self.instance.n_packets - (self.beta - self.round + 1)
         return np.flatnonzero(self._ranks > threshold).tolist()
 
-    def step(self, user: int, coeffs) -> ScheduleEntry:
-        """Record a broadcast by ``user`` with the given combining row."""
+    def step(self, user: int, coeffs) -> np.ndarray:
+        """Record a broadcast by ``user`` with the given combining row, and
+        return the broadcast row."""
         if self.round > self.beta:
             raise ValueError("all rounds already played")
         u = self.instance.observations[user].combine_rows(coeffs)
-        entry = ScheduleEntry(
-            round=self.round,
-            user=user,
-            coeffs=tuple(np.asarray(coeffs, dtype=np.int64).tolist()),
-            combo=tuple(u.tolist()),
-        )
         p, owner = self.instance.field.p, self._owner
         d = self._checks @ u % p
         hit = d.nonzero()[0]
@@ -228,9 +229,16 @@ class ExchangeState:
             keep[first] = False
             self._checks, self._owner = checks[keep], owner[keep]
             self._ranks[gaining] += 1
-        self.entries.append(entry)
+        self.users.append(user)
+        self.coeffs.append(coeffs)
+        self.combos.append(u)
         self.round += 1
-        return entry
+        return u
+
+    def schedule(self, rng: RngSpec | None = None) -> TransmissionSchedule:
+        """The broadcasts recorded so far."""
+        p, n = self.instance.field.p, self.instance.n_packets
+        return TransmissionSchedule(p, n, tuple(self.users), tuple(self.coeffs), self.combos, rng)
 
     def report(self) -> DecodeReport:
         """Decodability so far: a user decodes once its span is the packet space."""
@@ -257,8 +265,7 @@ def randomized_alloc(
         state.step(user, gen.integers(0, instance.field.p, size=instance.observations[user].rows))
 
     alloc = allocate_rounds(instance.m, beta, cost, lambda rates: state.transmit_set(), caps, broadcast)
-    schedule = TransmissionSchedule(instance.field.p, instance.n_packets, tuple(state.entries), rng)
-    return alloc, schedule, state.report()
+    return alloc, state.schedule(rng), state.report()
 
 
 def verify_decodable(instance: ProblemInstance, schedule: TransmissionSchedule) -> DecodeReport:
@@ -267,13 +274,12 @@ def verify_decodable(instance: ProblemInstance, schedule: TransmissionSchedule) 
     Every user hears every broadcast, so user i decodes exactly when its own
     rows stacked with all schedule rows span the packet space.
     """
-    rows = schedule.combo_rows()
     n = instance.n_packets
-    if rows.shape[1] != n:
+    if schedule.n_packets != n:
         raise ValueError("schedule rows do not match the instance packet count")
     # Rank does not depend on row order: eliminate the schedule rows once and
     # add each user's rows to a copy.
-    shared = RowBasis(instance.field, n, rows)
+    shared = RowBasis(instance.field, n, schedule.combos)
     flags = []
     for obs in instance.observations:
         basis = shared.copy()
@@ -292,11 +298,11 @@ def construct_code(
 
     Rejects rate vectors outside the cut-set region; above MAX_TABLE_USERS
     users there is no rank table and that check is skipped.  Each attempt
-    draws every combining row uniformly, sender by sender, and is then
-    checked once by :func:`verify_decodable`; the first attempt every user
-    decodes is returned, and :class:`ConstructionFailed` is raised once the
-    retry budget is spent, which points at a field too small for the user
-    count.
+    draws every sender's combining rows uniformly as one block, sender by
+    sender, and is then checked once by :func:`verify_decodable`; the first
+    attempt every user decodes is returned, and :class:`ConstructionFailed`
+    is raised once the retry budget is spent, which points at a field too
+    small for the user count.
     """
     rates = tuple(int(r) for r in rates)
     if len(rates) != instance.m or any(r < 0 for r in rates):
@@ -304,18 +310,12 @@ def construct_code(
     if instance.m <= MAX_TABLE_USERS and not in_cut_set_region(CutSetOracle(instance), rates):
         raise InfeasibleRates(f"rates {rates} violate a cut-set bound")
     gen = rng.generator()
-    p = instance.field.p
+    p, n, observations = instance.field.p, instance.n_packets, instance.observations
+    users = tuple(user for user, count in enumerate(rates) for _ in range(count))
     for _ in range(max_retries):
-        entries = []
-        for user, count in enumerate(rates):
-            obs = instance.observations[user]
-            for _ in range(count):
-                coeffs = gen.integers(0, p, size=obs.rows)
-                combo = obs.combine_rows(coeffs)
-                entries.append(
-                    ScheduleEntry(len(entries) + 1, user, tuple(coeffs.tolist()), tuple(combo.tolist()))
-                )
-        schedule = TransmissionSchedule(p, instance.n_packets, tuple(entries), rng)
+        blocks = [gen.integers(0, p, size=(count, obs.rows)) for obs, count in zip(observations, rates)]
+        combos = np.concatenate([block @ obs.array % p for block, obs in zip(blocks, observations)])
+        schedule = TransmissionSchedule(p, n, users, tuple(chain.from_iterable(blocks)), combos, rng)
         if verify_decodable(instance, schedule).all_ok:
             return schedule
     raise ConstructionFailed(
@@ -326,9 +326,8 @@ def construct_code(
 
 def transmit_values(schedule: TransmissionSchedule, w) -> np.ndarray:
     """The broadcast values a packet vector ``w`` would produce."""
-    rows = schedule.combo_rows()
     w = np.asarray(w, dtype=np.int64)
-    return (rows @ w) % schedule.q
+    return (schedule.combos @ w) % schedule.q
 
 
 def decode(
@@ -350,9 +349,9 @@ def decode(
     received = np.asarray(received, dtype=np.int64)
     if observed.shape != (obs.rows,):
         raise ValueError(f"user {user} holds {obs.rows} values, got shape {observed.shape}")
-    if received.shape != (len(schedule.entries),):
-        raise ValueError(f"expected {len(schedule.entries)} received values")
-    stacked = FMatrix(instance.field, np.concatenate([obs.array, schedule.combo_rows()]))
+    if received.shape != (len(schedule.users),):
+        raise ValueError(f"expected {len(schedule.users)} received values")
+    stacked = FMatrix(instance.field, np.concatenate([obs.array, schedule.combos]))
     rhs = np.concatenate([observed, received]) % instance.field.p
     try:
         return solve_full_rank(stacked, rhs)

@@ -21,7 +21,7 @@ from dexchange.model import (
     preset_instance,
     read_json,
 )
-from dexchange.netcode import RngSpec, ScheduleEntry, TransmissionSchedule, construct_code, load_schedule
+from dexchange.netcode import RngSpec, TransmissionSchedule, construct_code, load_schedule
 
 Q = 5
 DEMO = preset_instance("example1", q=Q)
@@ -52,16 +52,20 @@ def oracle_instance(doc) -> ProblemInstance:
 
 def oracle_schedule(doc) -> TransmissionSchedule:
     """The schedule loader's per-value checks of rounds, senders, ``b`` and
-    ``u``, then the check against the instance that every CLI load runs."""
-    q = doc["q"]
-    entries = []
-    for e in doc["entries"]:
+    ``u``, its two checks of what only the document shows (rounds run 1, 2,
+    ... and every ``u`` row holds N entries), then the check against the
+    instance that every CLI load runs."""
+    q, n, entries = doc["q"], doc["N"], doc["entries"]
+    for e in entries:
         if type(e["round"]) is not int or type(e["user"]) is not int:
             raise ValueError("round or sender is not an integer")
         if not all(is_entry(v, q) for v in e["b"]) or not all(is_entry(v, q) for v in e["u"]):
             raise ValueError("entry outside the field range")
-        entries.append(ScheduleEntry(e["round"], e["user"], tuple(e["b"]), tuple(e["u"])))
-    schedule = TransmissionSchedule(q, doc["N"], tuple(entries), RngSpec(**doc["rng"]))
+    for k, e in enumerate(entries, 1):
+        if e["round"] != k or len(e["u"]) != n:
+            raise ValueError("rounds must run 1, 2, ... and u rows must hold N entries")
+    users, coeffs, combos = (tuple(e[key] for e in entries) for key in ("user", "b", "u"))
+    schedule = TransmissionSchedule(q, n, users, coeffs, combos, RngSpec(**doc["rng"]))
     schedule.validate_against(DEMO)
     return schedule
 

@@ -460,11 +460,15 @@ def test_schedule_with_out_of_range_sender_exits_1(instance_file, tmp_path, caps
         (("N",), float),
         (("rng", "seed"), lambda v: -1),
         (("rng", "stream"), lambda v: 0.5),
+        (("entries", 0, "b"), lambda v: v[:-1]),
+        (("entries", 0, "u"), lambda v: v[:-1]),
+        (("entries", 0, "u"), lambda v: v + [0]),
+        (("N",), lambda v: 0),
     ],
     ids=[
         "b-huge", "b-float", "b-bool", "b-string", "b-plus-q", "b-negative", "u-plus-q",
         "u-float", "round-float", "user-string", "q-float", "N-float", "seed-negative",
-        "stream-float",
+        "stream-float", "b-short", "u-short", "u-long", "N-zero",
     ],
 )
 @pytest.mark.parametrize("cmd", [["verify"], ["decode", "--user", "0"]], ids=["verify", "decode"])
@@ -478,8 +482,7 @@ def test_schedule_with_bad_numbers_exits_1(instance_file, tmp_path, capsys, cmd,
     node[where[-1]] = rewrite(node[where[-1]])
     if where[2:3] == ("b",):
         # Store the row the coefficients give modulo q, so that only the
-        # entry's type or range is wrong: each of these used to load, and
-        # 2^70 ended in an OverflowError traceback.
+        # coefficients are wrong; 2^70 once ended in an OverflowError traceback.
         e = doc["entries"][0]
         rows = load_instance(instance_file).observations[e["user"]].array.tolist()
         coeffs = [int(v) % 257 for v in e["b"]]

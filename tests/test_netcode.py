@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import pickle
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexchange import netcode
-from dexchange.gf import FieldSpec, FMatrix, SingularSystem, rank
+from dexchange.gf import FieldSpec, FMatrix, ShapeError, SingularSystem, rank
 from dexchange.model import CutSetOracle, generate_instance, preset_instance, save_instance
 from dexchange.netcode import (
     ConstructionFailed,
@@ -18,7 +19,6 @@ from dexchange.netcode import (
     InfeasibleRates,
     NotDecodable,
     RngSpec,
-    ScheduleEntry,
     TransmissionSchedule,
     construct_code,
     decode,
@@ -66,9 +66,9 @@ def test_exchange_state_replays_reference_trace(demo19):
         assert user in tset
         state.step(user, coeffs)
     assert seen_tsets == [(0, 1, 2), (1, 2), (1, 2), (1, 2), (1, 2)]
-    schedule = TransmissionSchedule(19, 6, tuple(state.entries))
+    schedule = state.schedule()
     assert schedule.counts(3) == (1, 2, 2)
-    assert [e.combo for e in schedule.entries] == REFERENCE_COMBOS
+    assert schedule.combos.tolist() == [list(row) for row in REFERENCE_COMBOS]
     assert verify_decodable(demo19, schedule).all_ok
 
 
@@ -76,7 +76,7 @@ def test_reference_trace_decodes_synthetic_file(demo19):
     state = ExchangeState(demo19, 5)
     for user, coeffs in REFERENCE_TRACE:
         state.step(user, coeffs)
-    schedule = TransmissionSchedule(19, 6, tuple(state.entries))
+    schedule = state.schedule()
     w = np.array([3, 1, 4, 15, 9, 2]) % 19
     received = transmit_values(schedule, w)
     for user in range(3):
@@ -102,7 +102,7 @@ def test_randomized_alloc_single_user_zero_budget():
     inst = generate_instance("coded", 1, 2, FieldSpec(257), coverage=(2,), seed=0)
     alloc, schedule, _ = randomized_alloc(inst, 0, FairCost(), rng=RngSpec(0))
     assert alloc.rates == (0,)
-    assert schedule.entries == ()
+    assert schedule.users == () and schedule.combos.shape == (0, 2)
     assert verify_decodable(inst, schedule).all_ok
 
 
@@ -114,7 +114,7 @@ def test_randomized_alloc_respects_caps(demo):
 def test_randomized_alloc_is_deterministic(demo):
     a1, s1, _ = randomized_alloc(demo, 5, FairCost(), rng=RngSpec(3, 1))
     a2, s2, _ = randomized_alloc(demo, 5, FairCost(), rng=RngSpec(3, 1))
-    assert a1 == a2 and s1.entries == s2.entries
+    assert a1 == a2 and s1 == s2
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 17])
@@ -146,14 +146,14 @@ def _check_rank_vs_polyhedral(inst, beta, seed, require_equality):
         return
     grounds = [GroundSet(inst.full_mask & ~(1 << i), i) for i in range(inst.m)]
     rates = [0] * inst.m
-    for j, entry in enumerate(schedule.entries):
+    for j, user in enumerate(schedule.users):
         # Users with headroom by the exact per-user engine.
         poly = {g.pinned for g in grounds if min_pinned(oracle, beta, rates, g) > rates[g.pinned]}
         rank_based = set(alloc.tsets[j])
         assert rank_based <= poly
         if require_equality:
             assert rank_based == poly
-        rates[entry.user] += 1
+        rates[user] += 1
     if require_equality:
         assert verify_decodable(inst, schedule).all_ok
 
@@ -205,16 +205,15 @@ def test_incremental_ranks_match_naive_recomputation(demo19):
             if r > threshold:
                 naive.append(i)
         assert state.transmit_set() == naive
-        entry = state.step(user, coeffs)
-        transmitted.append(entry.combo)
+        transmitted.append(state.step(user, coeffs))
 
 
 def test_verify_empty_schedule(demo):
-    empty = TransmissionSchedule(257, 6, ())
+    empty = TransmissionSchedule(257, 6, (), (), ())
     report = verify_decodable(demo, empty)
     assert report.per_user == (False, False, False)
     inst = generate_instance("coded", 1, 2, FieldSpec(257), coverage=(2,), seed=0)
-    assert verify_decodable(inst, TransmissionSchedule(257, 2, ())).all_ok
+    assert verify_decodable(inst, TransmissionSchedule(257, 2, (), (), ())).all_ok
 
 
 def test_construct_code_round_trip(demo):
@@ -235,21 +234,14 @@ def _reference_construct(instance, rates, rng, max_retries=64):
     gen = rng.generator()
     p = instance.field.p
     for _ in range(max_retries):
-        entries = []
+        users, coeffs, combos = [], [], []
         for user, count in enumerate(rates):
             obs = instance.observations[user]
             for _ in range(count):
-                coeffs = gen.integers(0, p, size=obs.rows)
-                combo = obs.combine_rows(coeffs)
-                entries.append(
-                    ScheduleEntry(
-                        round=len(entries) + 1,
-                        user=user,
-                        coeffs=tuple(int(v) for v in coeffs),
-                        combo=tuple(int(v) for v in combo),
-                    )
-                )
-        schedule = TransmissionSchedule(p, instance.n_packets, tuple(entries), rng)
+                users.append(user)
+                coeffs.append(gen.integers(0, p, size=obs.rows))
+                combos.append(obs.combine_rows(coeffs[-1]))
+        schedule = TransmissionSchedule(p, instance.n_packets, tuple(users), tuple(coeffs), combos, rng)
         if verify_decodable(instance, schedule).all_ok:
             return schedule
     return None
@@ -287,11 +279,11 @@ def test_construction_failed_keeps_its_attempts_through_pickle():
 def test_construct_code_is_deterministic(demo):
     s1 = construct_code(demo, (1, 1, 3), RngSpec(9))
     s2 = construct_code(demo, (1, 1, 3), RngSpec(9))
-    assert s1.entries == s2.entries
+    assert s1 == s2
 
 
 def test_decode_without_enough_information(demo):
-    empty = TransmissionSchedule(257, 6, ())
+    empty = TransmissionSchedule(257, 6, (), (), ())
     with pytest.raises(NotDecodable):
         decode(demo, 0, empty, demo.observe(0, np.zeros(6, dtype=int)), [])
 
@@ -302,7 +294,7 @@ def test_decode_rank_deficient_stack_is_not_decodable(demo, offset):
     # deficient whether or not its received value agrees with the rows.
     w = np.arange(6)
     own = tuple(int(v) for v in demo.observations[0].array[0])
-    schedule = TransmissionSchedule(257, 6, (ScheduleEntry(1, 0, (1,), own),))
+    schedule = TransmissionSchedule(257, 6, (0,), ((1,),), (own,))
     received = (transmit_values(schedule, w) + offset) % 257
     with pytest.raises(NotDecodable):
         decode(demo, 0, schedule, demo.observe(0, w), received)
@@ -312,7 +304,7 @@ def test_decode_full_rank_inconsistent_stack_is_singular():
     inst = generate_instance("coded", 1, 3, FieldSpec(257), coverage=(3,), seed=2)
     w = np.array([7, 8, 9])
     own = tuple(int(v) for v in inst.observations[0].array[0])
-    schedule = TransmissionSchedule(257, 3, (ScheduleEntry(1, 0, (1, 0, 0), own),))
+    schedule = TransmissionSchedule(257, 3, (0,), ((1, 0, 0),), (own,))
     received = (transmit_values(schedule, w) + 1) % 257
     with pytest.raises(SingularSystem, match="inconsistent right-hand side"):
         decode(inst, 0, schedule, inst.observe(0, w), received)
@@ -320,7 +312,7 @@ def test_decode_full_rank_inconsistent_stack_is_singular():
 
 def test_decode_full_rank_user_needs_no_schedule():
     inst = generate_instance("coded", 1, 3, FieldSpec(257), coverage=(3,), seed=2)
-    empty = TransmissionSchedule(257, 3, ())
+    empty = TransmissionSchedule(257, 3, (), (), ())
     w = np.array([7, 8, 9])
     got = decode(inst, 0, empty, inst.observe(0, w), [])
     assert list(got) == list(w)
@@ -338,8 +330,8 @@ def test_decode_answers_from_one_elimination(demo, monkeypatch, case):
     else:  # user 0 holds 2 of the 6 packets and hears one of its own rows
         inst, expected = demo, NotDecodable
     w = np.arange(inst.n_packets)
-    own = inst.observations[0].array[0].tolist()
-    schedule = TransmissionSchedule(257, inst.n_packets, (ScheduleEntry(1, 0, (), tuple(own)),))
+    own = inst.observations[0].array[0]
+    schedule = TransmissionSchedule(257, inst.n_packets, (0,), ((),), (own,))
     received = (transmit_values(schedule, w) + (case != "rank-deficient")) % 257
     built = []
     init = gf.RowBasis.__init__
@@ -364,8 +356,7 @@ def test_decode_refuses_exactly_the_users_verify_decodable_refuses(q, kind, m, n
     inst = generate_instance(kind, m, n, FieldSpec(q), seed=seed)
     user = data.draw(st.integers(0, m - 1))
     rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=n + 1))
-    entries = tuple(ScheduleEntry(k, 0, (), tuple(r)) for k, r in enumerate(rows, 1))
-    schedule = TransmissionSchedule(q, n, entries)
+    schedule = TransmissionSchedule(q, n, (0,) * len(rows), ((),) * len(rows), rows)
     w = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)), dtype=np.int64)
     offsets = data.draw(st.lists(st.integers(0, 1), min_size=len(rows), max_size=len(rows)))
     received = (transmit_values(schedule, w) + np.array(offsets, dtype=np.int64)) % q
@@ -382,13 +373,21 @@ def test_decode_refuses_exactly_the_users_verify_decodable_refuses(q, kind, m, n
             assert np.array_equal(got, w)
 
 
-def test_schedule_json_round_trip(tmp_path, demo):
-    schedule = construct_code(demo, (1, 1, 3), RngSpec(4, 2))
+@pytest.mark.parametrize("source", ["construct_code", "randomized_alloc", "empty"])
+def test_schedule_json_round_trip(tmp_path, demo, source):
+    schedule = {
+        "construct_code": lambda: construct_code(demo, (1, 1, 3), RngSpec(4, 2)),
+        "randomized_alloc": lambda: randomized_alloc(demo, 5, FairCost(), rng=RngSpec(4, 2))[1],
+        "empty": lambda: TransmissionSchedule(257, 6, (), (), ()),
+    }[source]()
     path = tmp_path / "sched.json"
     save_schedule(schedule, path)
     again = load_schedule(path)
+    for s in (schedule, again):
+        assert s.combos.dtype == np.int64 and s.combos.shape == (len(s.users), 6)
+        assert not s.combos.flags.writeable
     assert again == schedule
-    assert again.rng == RngSpec(4, 2)
+    assert again.rng == schedule.rng
     again.validate_against(demo)
 
 
@@ -406,21 +405,17 @@ def test_schedule_json_format_fields(tmp_path, demo):
 
 def test_schedule_validation_catches_tampering(demo):
     schedule = construct_code(demo, (1, 1, 3), RngSpec(4))
-    e = schedule.entries[0]
-    bad = TransmissionSchedule(
-        schedule.q,
-        schedule.n_packets,
-        (ScheduleEntry(e.round, e.user, e.coeffs, tuple([1] * 6)),) + schedule.entries[1:],
-    )
+    combos = schedule.combos.copy()
+    combos[0] = 1
+    bad = dataclasses.replace(schedule, combos=combos)
     with pytest.raises(ValueError, match="does not match"):
         bad.validate_against(demo)
 
 
 def test_schedule_rows_recompute_from_coefficients(demo):
     schedule = construct_code(demo, (1, 1, 3), RngSpec(11))
-    for e in schedule.entries:
-        expected = demo.observations[e.user].combine_rows(e.coeffs)
-        assert tuple(int(v) for v in expected) == e.combo
+    for user, coeffs, combo in zip(schedule.users, schedule.coeffs, schedule.combos):
+        assert np.array_equal(demo.observations[user].combine_rows(coeffs), combo)
 
 
 def _tampered(demo, key, rewrite):
@@ -553,14 +548,14 @@ def test_exchange_state_ranks_match_stacked_ranks(q, kind, m, n, seed, data):
     for _ in range(beta):
         user = data.draw(st.integers(0, m - 1))
         rows = inst.observations[user].rows
-        earlier = [e.coeffs for e in state.entries if e.user == user]
+        earlier = [tuple(c) for u, c in zip(state.users, state.coeffs) if u == user]
         coeffs = data.draw(st.one_of(
             st.just((0,) * rows),
             st.lists(st.integers(0, q - 1), min_size=rows, max_size=rows),
             *([st.sampled_from(earlier)] if earlier else []),
         ))
         state.step(user, coeffs)
-        heard = np.array([e.combo for e in state.entries], dtype=np.int64)
+        heard = np.array(state.combos)
         expected = [rank(FMatrix(inst.field, np.concatenate([obs.array, heard]))) for obs in inst.observations]
         assert state._ranks.tolist() == expected
         assert state.report().per_user == tuple(r == n for r in expected)
@@ -597,12 +592,12 @@ def test_verify_decodable_matches_stacked_rank_definition(q, kind, m, n, seed, d
     # Rows are drawn directly, so over GF(2) many schedules are rank deficient.
     inst = generate_instance(kind, m, n, FieldSpec(q), seed=seed)
     rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), max_size=n + 1))
-    entries = tuple(ScheduleEntry(k, 0, (), tuple(row)) for k, row in enumerate(rows, 1))
     b = np.array(rows, dtype=np.int64).reshape(-1, n)
     expected = tuple(
         rank(FMatrix(inst.field, np.concatenate([obs.array, b]))) == n for obs in inst.observations
     )
-    assert verify_decodable(inst, TransmissionSchedule(q, n, entries)) == DecodeReport(expected)
+    schedule = TransmissionSchedule(q, n, (0,) * len(rows), ((),) * len(rows), b)
+    assert verify_decodable(inst, schedule) == DecodeReport(expected)
 
 
 def test_verify_decodable_on_a_rank_deficient_gf2_schedule():
@@ -612,7 +607,7 @@ def test_verify_decodable_on_a_rank_deficient_gf2_schedule():
     # the sum of packets 2 and 4.
     inst = preset_instance("example1", q=2)
     rows = ((1, 0, 0, 1, 0, 0), (0, 0, 1, 0, 1, 0), (0, 1, 0, 0, 0, 1), (1, 0, 1, 1, 1, 0))
-    schedule = TransmissionSchedule(2, 6, tuple(ScheduleEntry(k, 1, (), r) for k, r in enumerate(rows, 1)))
+    schedule = TransmissionSchedule(2, 6, (1,) * 4, ((),) * 4, rows)
     report = verify_decodable(inst, schedule)
     assert report == DecodeReport((False, True, True))
 
@@ -624,6 +619,57 @@ def test_schedule_loader_refuses_broadcasts_over_the_entry_cap(demo, monkeypatch
     monkeypatch.setattr(netcode, "MAX_DRAW_ENTRIES", 29)
     with pytest.raises(ValueError, match="5 broadcasts of 6 packets exceed the cap of 29 matrix entries"):
         TransmissionSchedule.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "q, n, message",
+    [
+        (2, 1, "8 broadcasts of 1 packets exceed the cap of 4 matrix entries"),
+        (2, 0, "N must be an integer >= 1, not 0"),
+        (2, -1, "N must be an integer >= 1, not -1"),
+        (1, 1, "q must be an integer >= 2, not 1"),
+    ],
+)
+def test_schedule_loader_refuses_n_below_1_and_q_below_2(monkeypatch, q, n, message):
+    # A count of packets below 1 once made the broadcast cap's product
+    # non-positive, so any number of broadcasts passed it.
+    monkeypatch.setattr(netcode, "MAX_DRAW_ENTRIES", 4)
+    entries = [{"round": k, "user": 0, "b": [], "u": [0] * max(n, 0)} for k in range(1, 9)]
+    with pytest.raises(ValueError) as exc:
+        TransmissionSchedule.from_json_dict({"q": q, "N": n, "entries": entries})
+    assert str(exc.value) == message
+
+
+def _fault(entry, kind):
+    if kind == "short-b":
+        entry["b"].pop()
+    elif kind == "tampered-u":
+        entry["u"][0] = (entry["u"][0] + 1) % 257
+    elif kind == "long-u":
+        entry["u"].append(0)
+    else:
+        entry["round"] += 1
+
+
+@pytest.mark.parametrize(
+    "faults, error, message",
+    [
+        ({2: "short-b", 4: "tampered-u"}, ShapeError, "coefficient vector of length 4 required"),
+        ({2: "tampered-u", 4: "short-b"}, ValueError, "round 2: stored row does not match its coefficients"),
+        ({2: "short-b", 4: "long-u"}, ValueError, "u entries must form rows of length 6"),
+        ({2: "short-b", 4: "round"}, ValueError, "entry 4 has round 5; rounds must run 1, 2, ..."),
+    ],
+)
+def test_schedule_faults_are_reported_at_the_first_faulty_broadcast(demo, faults, error, message):
+    # Faults checked against the instance keep the order of the broadcasts;
+    # a round out of sequence and a u row of the wrong length are found in
+    # the document alone, at load, before any of them.
+    doc = construct_code(demo, (1, 1, 3), RngSpec(4)).to_json_dict()
+    for k, kind in faults.items():
+        _fault(doc["entries"][k - 1], kind)
+    with pytest.raises(ValueError) as exc:
+        TransmissionSchedule.from_json_dict(doc).validate_against(demo)
+    assert type(exc.value) is error and str(exc.value) == message
 
 
 def test_saved_file_bytes_are_pinned(tmp_path):
@@ -642,7 +688,7 @@ def test_saved_file_bytes_are_pinned(tmp_path):
             (save_instance, inst),
             (save_schedule, drawn),
             (save_schedule, coded),
-            (save_schedule, TransmissionSchedule(q, 8, ())),
+            (save_schedule, TransmissionSchedule(q, 8, (), (), ())),
         ):
             save(obj, path)
             digest.update(path.read_bytes())

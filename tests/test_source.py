@@ -47,7 +47,7 @@ PUBLIC_NAMES = {
     "Allocation", "ConstructionFailed", "CutSetOracle", "DecodeReport", "ExchangeState",
     "FMatrix", "FairCost", "FieldSpec", "Infeasible", "InfeasibleInstance",
     "InfeasibleRates", "InstanceError", "LinearCost", "MinCostResult", "NotDecodable",
-    "ProblemInstance", "RngSpec", "RowBasis", "ScheduleEntry", "ShapeError", "SingularSystem",
+    "ProblemInstance", "RngSpec", "RowBasis", "ShapeError", "SingularSystem",
     "TableCost", "TableTooLarge", "TransmissionSchedule", "construct_code", "convex_alloc",
     "decode", "eval_h", "generate_instance", "in_cut_set_region", "instance_from_packet_sets",
     "load_instance", "load_schedule", "min_cost", "min_sum_rate",
